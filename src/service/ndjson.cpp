@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,17 +60,6 @@ bool load_directory(const std::string& root,
 bool build_request(const JsonValue& request, ScanRequest& scan,
                    std::string& error) {
     scan.preset = request.string_or("preset", "phpsafe");
-    scan.backend = request.string_or("backend", "");
-    if (!scan.backend.empty()) {
-        // Validate at the protocol boundary so a typo'd backend is one
-        // structured error line, not a queued scan that fails later.
-        EngineBackend backend = EngineBackend::kAst;
-        if (!backend_from_string(scan.backend, backend)) {
-            error = "unknown backend \"" + scan.backend +
-                    "\" (expected ast, ir or differential)";
-            return false;
-        }
-    }
     scan.priority = static_cast<int>(request.int_or("priority", 0));
     const std::string path = request.string_or("path", "");
     if (!path.empty()) {
@@ -200,17 +188,14 @@ NdjsonRequest parse_ndjson_request(const std::string& line) {
     }
     static const char* const kBareKeys[] = {"op", nullptr};
     static const char* const kScanKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", "slot", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", "slot", nullptr};
     static const char* const kWatchKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", nullptr};
     static const char* const kEditKeys[] = {"op", "files", "remove", nullptr};
     static const char* const kGraphKeys[] = {
         "op", "path", "files", "plugin", "detail", nullptr};
     static const char* const kValidateKeys[] = {
-        "op", "path", "files", "plugin", "preset",
-        "backend", "priority", nullptr};
+        "op", "path", "files", "plugin", "preset", "priority", nullptr};
 
     const std::string op = json.string_or("op", "");
     if (op == "quit" || op == "shutdown") {
@@ -471,119 +456,6 @@ std::string render_graph_line(const graph::ProjectGraph& g, bool detail) {
     if (detail) line << ",\"detail\":" << g.to_json();
     line << "}";
     return line.str();
-}
-
-int serve_ndjson(std::istream& in, std::ostream& out,
-                 const ServeOptions& options) {
-    AnalysisService own_service;
-    AnalysisService& service =
-        options.service ? *options.service : own_service;
-    WatchSession watch(service);  // per-call, like a server session's
-    int served = 0;
-
-    std::string line;
-    for (;;) {
-        const LineStatus status =
-            read_ndjson_line(in, line, options.max_line_bytes);
-        if (status == LineStatus::kEof) break;
-        if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-        ++served;
-        if (status == LineStatus::kOversized) {
-            out << render_error_line("request line exceeds " +
-                                     std::to_string(options.max_line_bytes) +
-                                     " bytes")
-                << "\n"
-                << std::flush;
-            continue;
-        }
-
-        const NdjsonRequest request = parse_ndjson_request(line);
-        switch (request.op) {
-        case NdjsonRequest::Op::kQuit:
-            out << render_bye_line() << "\n" << std::flush;
-            return served;
-        case NdjsonRequest::Op::kStats:
-            out << render_stats_line(service.cache_stats(),
-                                     options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        case NdjsonRequest::Op::kClear:
-            service.clear_cache();
-            out << render_ok_line() << "\n" << std::flush;
-            continue;
-        case NdjsonRequest::Op::kInvalid:
-            out << render_error_line(request.error) << "\n" << std::flush;
-            continue;
-        case NdjsonRequest::Op::kWatch: {
-            // Sequence open() before file_count() — as arguments the calls
-            // would be unsequenced relative to each other.
-            const ScanResponse response = watch.open(request.scan);
-            out << render_watch_line(response, watch.file_count(),
-                                     options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        }
-        case NdjsonRequest::Op::kEdit:
-            out << render_edit_line(watch.edit(request.edit),
-                                    options.deterministic)
-                << "\n"
-                << std::flush;
-            continue;
-        case NdjsonRequest::Op::kGraph: {
-            if (request.graph_has_payload) {
-                out << render_graph_line(
-                           build_request_graph(service, request.scan),
-                           request.graph_detail)
-                    << "\n"
-                    << std::flush;
-            } else if (watch.graph()) {
-                out << render_graph_line(*watch.graph(), request.graph_detail)
-                    << "\n"
-                    << std::flush;
-            } else {
-                out << render_error_line(
-                           "graph needs an open watch session or a "
-                           "\"path\"/\"files\" payload")
-                    << "\n"
-                    << std::flush;
-            }
-            continue;
-        }
-        case NdjsonRequest::Op::kValidate: {
-            if (request.validate_has_payload) {
-                out << render_validate_line(service.validate(request.scan),
-                                            options.deterministic)
-                    << "\n"
-                    << std::flush;
-            } else if (watch.active()) {
-                out << render_validate_line(
-                           service.validate(watch.request()),
-                           options.deterministic)
-                    << "\n"
-                    << std::flush;
-            } else {
-                out << render_error_line(
-                           "validate needs an open watch session or a "
-                           "\"path\"/\"files\" payload")
-                    << "\n"
-                    << std::flush;
-            }
-            continue;
-        }
-        case NdjsonRequest::Op::kScan:
-            break;
-        }
-        // The synchronous loop runs one scan at a time, so a slot's
-        // previous request is always already answered — supersede slots
-        // only matter to the pipelined sessions in service/server.h.
-        out << render_scan_line(service.scan(request.scan),
-                                options.deterministic)
-            << "\n"
-            << std::flush;
-    }
-    return served;
 }
 
 }  // namespace phpsafe::service

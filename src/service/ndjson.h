@@ -1,13 +1,11 @@
-// Newline-delimited JSON protocol for the AnalysisService — the transport
-// behind tools/phpsafe_serve. One JSON request object per input line, one
-// JSON response object per output line:
+// Newline-delimited JSON protocol for the AnalysisService — the wire format
+// of AnalysisServer sessions (service/server.h) and so of
+// tools/phpsafe_serve. One JSON request object per input line, one JSON
+// response object per output line:
 //
 //   {"op":"scan","path":"/plugin/dir"}            scan *.php under a directory
 //   {"op":"scan","plugin":"p","files":[{"name":"a.php","text":"<?php ..."}]}
 //   {"op":"scan",...,"preset":"rips"}             preset: phpsafe|rips|pixy
-//   {"op":"scan",...,"backend":"ir"}              taint backend: ast|ir|
-//                                                 differential (default:
-//                                                 the preset's backend)
 //   {"op":"scan",...,"priority":5}                higher dispatches sooner
 //   {"op":"scan",...,"slot":"editor"}             supersedes the slot's
 //                                                 previous still-queued scan
@@ -39,18 +37,15 @@
 // Scan responses carry the same report object render_json_report() emits
 // for the batch tools, plus cache effectiveness fields. Every error —
 // malformed JSON, unknown op, unknown key, bad payload, oversized line —
-// is the ONE structured shape {"ok":false,"error":"..."} regardless of
-// which loop (serve_ndjson or the multi-session server) parsed the
-// request; requests carrying keys their op does not define are rejected,
-// not silently ignored. Living in the library (not the tool's main) makes
-// the protocol drivable from tests over string streams.
+// is the ONE structured shape {"ok":false,"error":"..."}; requests carrying
+// keys their op does not define are rejected, not silently ignored. Living
+// in the library (not the tool's main) makes the protocol drivable from
+// tests over string streams.
 //
-// The file splits into three layers so the single-client loop and the
-// multi-session server (service/server.h) share one wire format:
+// The file holds the framing layers only; the one read-execute-reply loop
+// is AnalysisServer::serve_session:
 //   - read_ndjson_line: a byte-capped line reader (bounded request memory),
-//   - parse_ndjson_request / render_*_line: framing in both directions,
-//   - serve_ndjson: the synchronous read-execute-reply loop over one stream
-//     pair, which the golden protocol test drives.
+//   - parse_ndjson_request / render_*_line: framing in both directions.
 #pragma once
 
 #include <cstddef>
@@ -62,22 +57,6 @@
 #include "service/watch.h"
 
 namespace phpsafe::service {
-
-struct ServeOptions {
-    /// Service to drive (caller keeps ownership, caches persist across
-    /// calls); null = serve() runs a private service for the session.
-    AnalysisService* service = nullptr;
-
-    /// Zero the fields that vary run-to-run (wall_seconds, bytes_resident)
-    /// so a scripted session produces a byte-identical transcript — the
-    /// golden protocol test depends on this.
-    bool deterministic = false;
-
-    /// Longest accepted request line in bytes; longer lines are answered
-    /// with an error and skipped without being buffered whole. 0 means
-    /// unbounded (stdin tools); the multi-session server sets a bound.
-    size_t max_line_bytes = 0;
-};
 
 /// Outcome of one capped line read.
 enum class LineStatus {
@@ -116,8 +95,11 @@ struct NdjsonRequest {
 NdjsonRequest parse_ndjson_request(const std::string& line);
 
 /// Response renderers. Each returns one complete JSON line WITHOUT the
-/// trailing newline, so callers control write atomicity (the multi-session
-/// server appends the newline inside its synchronized line writer).
+/// trailing newline, so callers control write atomicity (the server
+/// appends the newline inside its synchronized line writer).
+/// `deterministic` zeroes the fields that vary run-to-run (wall_seconds,
+/// bytes_resident) so a scripted session produces a byte-identical
+/// transcript — the golden protocol test depends on this.
 std::string render_error_line(const std::string& message);
 std::string render_ok_line();
 std::string render_bye_line();
@@ -136,11 +118,5 @@ std::string render_graph_line(const graph::ProjectGraph& g, bool detail);
 /// report (each finding carrying its "confidence").
 std::string render_validate_line(const ValidateResponse& response,
                                  bool deterministic);
-
-/// Serves requests from `in` until EOF or a quit op; responses go to
-/// `out`, one per line, flushed. Returns the number of lines processed
-/// (blank lines excluded).
-int serve_ndjson(std::istream& in, std::ostream& out,
-                 const ServeOptions& options = {});
 
 }  // namespace phpsafe::service

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -30,17 +31,26 @@ AnalysisServer::~AnalysisServer() = default;
 namespace {
 
 /// One response the session owes its client, in request order. Scan items
-/// carry the ticket the writer must await; everything else carries a
-/// deferred renderer, evaluated only when the writer reaches it — so a
-/// `stats` request observes every scan the session submitted before it,
-/// and `clear` cannot race past an in-flight earlier scan of its own
+/// carry the ticket the writer must await (and the fingerprint and request
+/// number that key it in the session's pending-scan map); everything else
+/// carries a deferred renderer, evaluated only when the writer reaches it —
+/// so a `stats` request observes every scan the session submitted before
+/// it, and `clear` cannot race past an in-flight earlier scan of its own
 /// session. stats/clear are additionally *barriers*: the reader stops
 /// submitting until their renderer has run, so the snapshot they take is
-/// exactly what the serial serve_ndjson loop would see (no later scan of
-/// this session has been admitted yet).
+/// exactly what a serial replay would see (no later scan of this session
+/// has been admitted yet).
 struct SessionItem {
     AnalysisService::Ticket ticket;
     std::function<std::string()> render;
+    uint64_t fingerprint = 0;
+    int request = 0;
+};
+
+/// A scan of this session whose response has not been written yet.
+struct PendingSessionScan {
+    int request = 0;  ///< 1-based request number within the session
+    AnalysisService::Ticket ticket;
 };
 
 /// The in-order response pump of one session. The reader thread pushes,
@@ -91,15 +101,28 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
     // ops are barrier items), so no lock of its own is needed.
     WatchSession watch(service);
 
+    // This session's unanswered scans by request fingerprint. A scan that
+    // repeats one of them waits for it before submitting, so it sees what
+    // serial replay sees — a result-cache hit — instead of coalescing onto
+    // the still-running first scan. Entries leave once answered.
+    // Coalescing across sessions is untouched.
+    std::mutex pending_mutex;
+    std::map<uint64_t, PendingSessionScan> pending;
+
     SessionQueue queue;
     std::thread writer([&] {
         SessionItem item;
         while (queue.pop(item)) {
-            if (item.ticket.valid())
-                out.write_line(render_scan_line(service.await(item.ticket),
-                                                deterministic));
-            else
+            if (!item.ticket.valid()) {
                 out.write_line(item.render());
+                continue;
+            }
+            out.write_line(
+                render_scan_line(service.await(item.ticket), deterministic));
+            std::lock_guard<std::mutex> lock(pending_mutex);
+            const auto it = pending.find(item.fingerprint);
+            if (it != pending.end() && it->second.request == item.request)
+                pending.erase(it);
         }
     });
 
@@ -162,8 +185,8 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
         // Watch ops are barriers like stats/clear: their renderer runs the
         // scan and mutates the session state on the writer thread, after
         // every earlier response and before any later request is admitted —
-        // exactly the serial serve_ndjson order, so watch transcripts are
-        // byte-identical between the two loops.
+        // exactly the serial order, so watch transcripts are byte-identical
+        // to a one-request-at-a-time replay.
         case NdjsonRequest::Op::kWatch: {
             auto rendered = std::make_shared<std::promise<void>>();
             std::future<void> barrier = rendered->get_future();
@@ -244,6 +267,15 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
         }
         case NdjsonRequest::Op::kScan: {
             request.scan.priority += base_priority;
+            const uint64_t fingerprint =
+                AnalysisService::request_fingerprint(request.scan);
+            AnalysisService::Ticket earlier;
+            {
+                std::lock_guard<std::mutex> lock(pending_mutex);
+                const auto it = pending.find(fingerprint);
+                if (it != pending.end()) earlier = it->second.ticket;
+            }
+            if (earlier.valid()) service.await(earlier);
             AnalysisService::Ticket ticket =
                 service.submit(std::move(request.scan));
             if (!request.slot.empty()) {
@@ -252,7 +284,11 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
                     service.cancel(previous->second);
                 slots[request.slot] = ticket;
             }
-            queue.push({std::move(ticket), {}});
+            {
+                std::lock_guard<std::mutex> lock(pending_mutex);
+                pending[fingerprint] = {served, ticket};
+            }
+            queue.push({std::move(ticket), {}, fingerprint, served});
             break;
         }
         }

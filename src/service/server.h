@@ -1,12 +1,13 @@
-// AnalysisServer: the multi-client front-end over one shared
-// AnalysisService. Where serve_ndjson (service/ndjson.h) answers one
-// request at a time on one stream pair, a server session is *pipelined*:
-// the calling thread reads and submits requests as fast as the client
-// sends them, and a per-session writer thread emits the responses in
-// request order as the scans complete. Clients therefore overlap — all
-// sessions share the service's TaskTeam, its priority queue, and the
-// sharded AnalysisCache — while each client still observes the simple
-// serial protocol: response N on its stream answers request N.
+// AnalysisServer: the NDJSON front-end (wire format in service/ndjson.h)
+// over one shared AnalysisService, and the only read-execute-reply loop of
+// the protocol — tools/phpsafe_serve runs its stdin/stdout mode as one
+// session. A session is *pipelined*: the calling thread reads and submits
+// requests as fast as the client sends them, and a per-session writer
+// thread emits the responses in request order as the scans complete.
+// Clients therefore overlap — all sessions share the service's TaskTeam,
+// its priority queue, and the sharded AnalysisCache — while each client
+// still observes the simple serial protocol: response N on its stream
+// answers request N.
 //
 // On top of the shared wire format the pipelined session adds:
 //   - priorities: a scan's "priority" field (plus the session's base
@@ -20,7 +21,11 @@
 //     submissions are answered {"ok":false,"rejected":true} immediately
 //     and cache pressure shedding kicks in (see ServiceOptions),
 //   - bounded request memory: lines beyond max_line_bytes are answered
-//     with an error without ever being buffered whole.
+//     with an error without ever being buffered whole,
+//   - in-session ordering: a scan identical to one of the session's own
+//     still-unanswered scans waits for that scan before it is submitted,
+//     so it is answered from the result cache exactly as in a serial
+//     replay rather than coalescing onto the in-flight scan.
 //
 // Sessions that write to the SAME sink (many FIFO clients multiplexed
 // onto one log, tests driving two sessions into one string stream) hand
@@ -29,8 +34,9 @@
 //
 // Responses stay byte-identical to a serial single-client replay of the
 // same requests: scheduling (priorities, coalescing, shard locking) moves
-// *when* a scan runs, never what it reports. tests/server_test.cpp and the
-// fuzz concurrency oracle hold that invariant.
+// *when* a scan runs, never what it reports. tests/server_test.cpp, the
+// golden transcripts under tests/golden/ and the fuzz concurrency oracle
+// hold that invariant.
 #pragma once
 
 #include <cstddef>

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "report/evaluation.h"
-#include "service/ndjson.h"
+#include "service/server.h"
 
 namespace phpsafe {
 namespace {
@@ -96,12 +96,12 @@ TEST_F(GoldenReproduction, CorpusVitals) {
 
 // -- NDJSON protocol transcript ----------------------------------------------
 
-// Drives the phpsafe_serve protocol (service/ndjson.h) with the scripted
-// session checked in at tests/golden/ndjson_session.in and compares every
-// response line against the checked-in transcript. Covers scan (cold +
-// result-cache hit + rips preset), stats before/after clear, malformed
-// JSON, unknown ops, and quit. Regenerate the fixture after an intentional
-// protocol change with:
+// Drives the phpsafe_serve protocol (service/ndjson.h) through one
+// AnalysisServer session with the script checked in at
+// tests/golden/ndjson_session.in and compares every response line against
+// the checked-in transcript. Covers scan (cold + result-cache hit + rips
+// preset), stats before/after clear, malformed JSON, unknown ops, and
+// quit. Regenerate the fixture after an intentional protocol change with:
 //   ./build/tools/phpsafe_serve --deterministic
 //     < tests/golden/ndjson_session.in > tests/golden/ndjson_session.out
 // (one command; wrapped here for line length)
@@ -113,9 +113,10 @@ void expect_transcript_matches(const std::string& stem) {
     ASSERT_TRUE(expected) << "missing " << dir << "/" << stem << ".out";
 
     std::ostringstream actual;
-    service::ServeOptions options;
+    service::ServerOptions options;
     options.deterministic = true;
-    service::serve_ndjson(script, actual, options);
+    service::AnalysisServer server(options);
+    server.serve_session(script, actual);
 
     std::istringstream got(actual.str());
     std::string want_line, got_line;

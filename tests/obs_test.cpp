@@ -84,8 +84,8 @@ TEST(ObsCountersTest, ForEachFieldVisitsEveryCounterInOrder) {
     EXPECT_EQ(sum, c.total());
     ASSERT_GE(names.size(), 14u);
     EXPECT_EQ(names.front(), "tokens_lexed");
-    // The IR counter group (flat dataflow backend) closes the X-macro list.
-    EXPECT_EQ(names.back(), "ir_mismatches");
+    // The allocation counter group closes the X-macro list.
+    EXPECT_EQ(names.back(), "alloc_string_bytes_saved");
 }
 
 TEST(ObsCountersTest, DeltaCapturesOnlyThisThreadsIncrements) {

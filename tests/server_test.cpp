@@ -5,9 +5,10 @@
 // (request-order responses, supersede slots, atomic interleaving on a
 // shared sink), and the multi-client golden transcripts.
 //
-// Regenerate the multi-client goldens after an intentional protocol change:
-//   ./build/tools/phpsafe_serve --deterministic --workers 2 \
-//     --session tests/golden/ndjson_multi_a.in:tests/golden/ndjson_multi_a.out \
+// Regenerate the multi-client goldens after an intentional protocol change
+// (one command; wrapped here for line length):
+//   ./build/tools/phpsafe_serve --deterministic --workers 2
+//     --session tests/golden/ndjson_multi_a.in:tests/golden/ndjson_multi_a.out
 //     --session tests/golden/ndjson_multi_b.in:tests/golden/ndjson_multi_b.out
 #include <gtest/gtest.h>
 
@@ -39,7 +40,6 @@ using service::LineStatus;
 using service::ScanRequest;
 using service::ScanResponse;
 using service::ServerOptions;
-using service::ServeOptions;
 using service::ServiceOptions;
 using service::SyncLineWriter;
 
@@ -48,6 +48,14 @@ ScanRequest one_file(std::string plugin, std::string name, std::string text) {
     request.plugin = std::move(plugin);
     request.files.push_back({std::move(name), std::move(text)});
     return request;
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 /// Polls until `predicate` holds (multi-threaded tests need a settle
@@ -267,9 +275,10 @@ TEST(NdjsonFramingTest, ReadLineCapsBufferingAndRecovers) {
 }
 
 TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
-    ServeOptions options;
+    ServerOptions options;
     options.deterministic = true;
     options.max_line_bytes = 64;
+    AnalysisServer server(options);
     std::istringstream in("{\"op\":\"scan\",\"plugin\":\"big\",\"files\":[{"
                           "\"name\":\"a.php\",\"text\":\"" +
                           std::string(200, 'x') +
@@ -277,7 +286,7 @@ TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
                           "{\"op\":\"stats\"}\n"
                           "{\"op\":\"quit\"}\n");
     std::ostringstream out;
-    EXPECT_EQ(service::serve_ndjson(in, out, options), 3);
+    EXPECT_EQ(server.serve_session(in, out), 3);
 
     std::istringstream lines(out.str());
     std::string line;
@@ -292,15 +301,26 @@ TEST(NdjsonFramingTest, OversizedRequestLineAnswersErrorAndContinues) {
 }
 
 TEST(NdjsonFramingTest, TruncatedFinalLineWithoutNewlineIsServed) {
-    ServeOptions options;
+    ServerOptions options;
     options.deterministic = true;
+    AnalysisServer server(options);
     std::istringstream in("{\"op\":\"stats\"}");  // EOF, no '\n'
     std::ostringstream out;
-    EXPECT_EQ(service::serve_ndjson(in, out, options), 1);
+    EXPECT_EQ(server.serve_session(in, out), 1);
     EXPECT_NE(out.str().find("\"summary_entries\":0"), std::string::npos);
 }
 
 // ------------------------------------------------------- pipelined sessions
+
+/// The request lines of an NDJSON script, each decoded.
+std::vector<service::NdjsonRequest> parse_script(const std::string& script) {
+    std::vector<service::NdjsonRequest> requests;
+    std::istringstream lines(script);
+    std::string line;
+    while (std::getline(lines, line))
+        requests.push_back(service::parse_ndjson_request(line));
+    return requests;
+}
 
 TEST(ServerSessionTest, PipelinedSessionMatchesSerialLoopByteForByte) {
     const std::string script =
@@ -315,12 +335,28 @@ TEST(ServerSessionTest, PipelinedSessionMatchesSerialLoopByteForByte) {
         "\"text\":\"<?php $v = $_POST['c']; echo $v;\"}]}\n"
         "{\"op\":\"quit\"}\n";
 
-    std::ostringstream serial_out;
+    // The serial reference: one request at a time against a plain service,
+    // rendered with the protocol's own line renderers.
+    const std::vector<service::NdjsonRequest> requests = parse_script(script);
+    ASSERT_EQ(requests.size(), 6u);
+    std::string serial_out;
     {
-        ServeOptions options;
-        options.deterministic = true;
-        std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
+        ServiceOptions options;
+        options.workers = 1;
+        AnalysisService serial(options);
+        for (const int i : {0, 1})
+            serial_out +=
+                service::render_scan_line(serial.scan(requests[i].scan), true) +
+                "\n";
+        serial_out += service::render_stats_line(serial.cache_stats(), true) +
+                      "\n";
+        serial_out += service::render_validate_line(
+                          serial.validate(requests[3].scan), true) +
+                      "\n";
+        serial_out +=
+            service::render_scan_line(serial.scan(requests[4].scan), true) +
+            "\n";
+        serial_out += service::render_bye_line() + "\n";
     }
 
     std::ostringstream session_out;
@@ -332,7 +368,28 @@ TEST(ServerSessionTest, PipelinedSessionMatchesSerialLoopByteForByte) {
         std::istringstream in(script);
         EXPECT_EQ(server.serve_session(in, session_out), 6);
     }
-    EXPECT_EQ(session_out.str(), serial_out.str());
+    EXPECT_EQ(session_out.str(), serial_out);
+}
+
+TEST(ServerSessionTest, RepeatedScanIsAResultCacheHitOnEveryReplay) {
+    // ndjson_session.in scans the same plugin twice in a row. Serial replay
+    // answers the second scan from the result cache; a pipelined session
+    // must too, instead of coalescing it onto the first scan while that
+    // one is still in flight. Fresh server per replay, 4 workers, so the
+    // two scans really can overlap.
+    const std::string dir = PHPSAFE_GOLDEN_DIR;
+    const std::string script = read_file(dir + "/ndjson_session.in");
+    const std::string golden = read_file(dir + "/ndjson_session.out");
+    for (int replay = 0; replay < 30; ++replay) {
+        ServerOptions options;
+        options.deterministic = true;
+        options.service.workers = 4;
+        AnalysisServer server(options);
+        std::istringstream in(script);
+        std::ostringstream out;
+        server.serve_session(in, out);
+        ASSERT_EQ(out.str(), golden) << "replay " << replay;
+    }
 }
 
 TEST(ServerSessionTest, SlotSupersedesStillQueuedScan) {
@@ -484,9 +541,9 @@ void cold_diff(const std::vector<Finding>& before,
 }
 
 /// Watch-mode byte-identity: the delta an edit answers must equal the diff
-/// of two *cold* scans on fresh services — at any worker count and any
-/// backend, with a mixed upsert + remove batch.
-void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
+/// of two *cold* scans on fresh services — at any worker count, with a
+/// mixed upsert + remove batch.
+void expect_delta_matches_cold_rescan(int workers) {
     using FileSet = std::vector<std::pair<std::string, std::string>>;
     const FileSet before = {
         {"app.php",
@@ -506,7 +563,6 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
         AnalysisService fresh(so);
         ScanRequest request;
         request.plugin = "delta";
-        request.backend = backend;
         for (const auto& [name, text] : files)
             request.files.push_back({name, text});
         return fresh.scan(request).result.findings;
@@ -524,7 +580,6 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
     service::WatchSession watch(service);
     ScanRequest open;
     open.plugin = "delta";
-    open.backend = backend;
     for (const auto& [name, text] : before)
         open.files.push_back({name, text});
     const ScanResponse opened = watch.open(std::move(open));
@@ -547,15 +602,11 @@ void expect_delta_matches_cold_rescan(int workers, const std::string& backend) {
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
-    expect_delta_matches_cold_rescan(1, "");
+    expect_delta_matches_cold_rescan(1);
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
-    expect_delta_matches_cold_rescan(4, "");
-}
-
-TEST(WatchModeTest, DeltaMatchesColdRescanDiffIrBackend) {
-    expect_delta_matches_cold_rescan(4, "ir");
+    expect_delta_matches_cold_rescan(4);
 }
 
 TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {
@@ -571,12 +622,29 @@ TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {
         "{\"op\":\"stats\"}\n"
         "{\"op\":\"quit\"}\n";
 
-    std::ostringstream serial_out;
+    // The serial reference: the same watch session driven one call at a
+    // time, rendered with the protocol's own line renderers.
+    const std::vector<service::NdjsonRequest> requests = parse_script(script);
+    ASSERT_EQ(requests.size(), 6u);
+    std::string serial_out;
     {
-        ServeOptions options;
-        options.deterministic = true;
-        std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
+        AnalysisService serial;
+        service::WatchSession watch(serial);
+        const ScanResponse opened = watch.open(requests[0].scan);
+        serial_out += service::render_watch_line(opened, watch.file_count(),
+                                                 true) +
+                      "\n";
+        serial_out +=
+            service::render_edit_line(watch.edit(requests[1].edit), true) +
+            "\n";
+        ASSERT_NE(watch.graph(), nullptr);
+        serial_out += service::render_graph_line(*watch.graph(), false) + "\n";
+        serial_out +=
+            service::render_edit_line(watch.edit(requests[3].edit), true) +
+            "\n";
+        serial_out += service::render_stats_line(serial.cache_stats(), true) +
+                      "\n";
+        serial_out += service::render_bye_line() + "\n";
     }
 
     std::ostringstream session_out;
@@ -588,17 +656,21 @@ TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {
         std::istringstream in(script);
         EXPECT_EQ(server.serve_session(in, session_out), 6);
     }
-    EXPECT_EQ(session_out.str(), serial_out.str());
+    EXPECT_EQ(session_out.str(), serial_out);
 }
 
 TEST(NdjsonFramingTest, UnknownKeysRejectedWithUniformErrorShape) {
-    // Every unknown-key rejection — whichever loop parses it — must be the
-    // one structured {"ok":false,"error":...} shape with the same message.
+    // Every unknown-key rejection must be the one structured
+    // {"ok":false,"error":...} shape with the same message — "backend"
+    // included, which no op defines.
     const std::string script =
         "{\"op\":\"stats\",\"extra\":1}\n"
         "{\"op\":\"clear\",\"slot\":\"x\"}\n"
         "{\"op\":\"scan\",\"plugin\":\"p\",\"detail\":true,"
         "\"files\":[{\"name\":\"a.php\",\"text\":\"<?php\"}]}\n"
+        "{\"op\":\"scan\",\"plugin\":\"p\","
+        "\"files\":[{\"name\":\"a.php\",\"text\":\"<?php\"}],"
+        "\"backend\":\"ast\"}\n"
         "{\"op\":\"graph\",\"slot\":\"x\"}\n"
         "{\"op\":\"validate\",\"bogus\":1}\n"
         "{\"op\":\"quit\"}\n";
@@ -609,20 +681,13 @@ TEST(NdjsonFramingTest, UnknownKeysRejectedWithUniformErrorShape) {
         "\n" +
         service::render_error_line("unknown key \"detail\" for op \"scan\"") +
         "\n" +
+        service::render_error_line("unknown key \"backend\" for op \"scan\"") +
+        "\n" +
         service::render_error_line("unknown key \"slot\" for op \"graph\"") +
         "\n" +
         service::render_error_line(
             "unknown key \"bogus\" for op \"validate\"") +
         "\n" + service::render_bye_line() + "\n";
-
-    std::ostringstream serial_out;
-    {
-        ServeOptions options;
-        options.deterministic = true;
-        std::istringstream in(script);
-        service::serve_ndjson(in, serial_out, options);
-    }
-    EXPECT_EQ(serial_out.str(), expected);
 
     std::ostringstream session_out;
     {
@@ -636,14 +701,6 @@ TEST(NdjsonFramingTest, UnknownKeysRejectedWithUniformErrorShape) {
 }
 
 // ------------------------------------------------------ multi-client golden
-
-std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in) << "cannot open " << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
 
 TEST(GoldenNdjsonProtocol, MultiClientTranscriptsMatch) {
     const std::string dir = PHPSAFE_GOLDEN_DIR;

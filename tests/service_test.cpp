@@ -265,6 +265,10 @@ TEST(ServiceTest, RequestFingerprintCoversNamesAndContent) {
     EXPECT_NE(fp, AnalysisService::request_fingerprint(edited));
     EXPECT_NE(fp, AnalysisService::request_fingerprint(other_preset));
     EXPECT_EQ(fp, AnalysisService::request_fingerprint(base));
+    // Scheduling fields are not analysis input.
+    ScanRequest hot = base;
+    hot.priority = 9;
+    EXPECT_EQ(fp, AnalysisService::request_fingerprint(hot));
 }
 
 TEST(ServiceTest, WarmScanOfCorpusPluginMatchesColdByteForByte) {

@@ -1,17 +1,20 @@
 // phpsafe_serve — newline-delimited JSON front end for the AnalysisService.
 //
-// Default mode reads one JSON request object per stdin line and writes one
-// JSON response object per stdout line; editors/CI keep the process alive
-// so consecutive scans hit the warm AST/summary/result caches. The
-// protocol lives in service/ndjson.h (drivable from tests); this binary
-// binds it to streams.
+// Default mode serves one AnalysisServer session on stdin/stdout: one JSON
+// request object per stdin line, one JSON response object per stdout line.
+// Editors/CI keep the process alive so consecutive scans hit the warm
+// AST/summary/result caches. Request lines longer than the server's
+// max_line_bytes (16 MiB) are answered with an error line and skipped. The
+// protocol lives in service/ndjson.h and the session loop in
+// service/server.h (both drivable from tests); this binary binds them to
+// streams.
 //
-// Multi-client mode (one or more --session IN:OUT flags) runs the
-// pipelined AnalysisServer instead: every IN:OUT pair — named pipes for
-// live clients, regular files for scripted ones — gets its own session
-// thread against ONE shared service, so all clients share the sharded
-// cache, the priority queue, and admission control. Sessions end on quit
-// or EOF of their input; the process exits when every session has ended.
+// Multi-client mode (one or more --session IN:OUT flags) runs several
+// sessions instead: every IN:OUT pair — named pipes for live clients,
+// regular files for scripted ones — gets its own session thread against
+// ONE shared service, so all clients share the sharded cache, the priority
+// queue, and admission control. Sessions end on quit or EOF of their
+// input; the process exits when every session has ended.
 //
 //   phpsafe_serve --session /tmp/a.in:/tmp/a.out --session /tmp/b.in:/tmp/b.out
 //
@@ -29,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/ndjson.h"
 #include "service/server.h"
 
 namespace {
@@ -72,14 +74,12 @@ int main(int argc, char** argv) {
         }
     }
 
+    phpsafe::service::AnalysisServer server(options);
     if (sessions.empty()) {
-        phpsafe::service::ServeOptions serve;
-        serve.deterministic = options.deterministic;
-        phpsafe::service::serve_ndjson(std::cin, std::cout, serve);
+        server.serve_session(std::cin, std::cout);
         return 0;
     }
 
-    phpsafe::service::AnalysisServer server(options);
     std::vector<std::thread> threads;
     std::atomic<bool> failed{false};
     threads.reserve(sessions.size());
