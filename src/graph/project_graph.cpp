@@ -28,11 +28,6 @@ bool is_self_reference(std::string_view class_name) {
            iequals(class_name, "parent");
 }
 
-std::string_view basename_of(std::string_view path) {
-    const size_t slash = path.rfind('/');
-    return slash == std::string_view::npos ? path : path.substr(slash + 1);
-}
-
 std::string_view top_dir_of(std::string_view path) {
     const size_t slash = path.find('/');
     return slash == std::string_view::npos ? std::string_view() : path.substr(0, slash);
@@ -82,7 +77,7 @@ bool is_dead_name(std::string_view name) {
     if (ends_with(name, "~") || ends_with(name, ".bak") ||
         ends_with(name, ".old") || ends_with(name, ".orig"))
         return true;
-    const std::string_view base = basename_of(name);
+    const std::string_view base = php::basename_of(name);
     return base.size() >= 8 && iequals(base.substr(0, 8), "copy of ");
 }
 
@@ -184,9 +179,11 @@ std::string_view ProjectGraph::intern(std::string_view s) {
     return names_.store(s);
 }
 
-ProjectGraph::FileId ProjectGraph::file_id(std::string_view name) const {
-    const auto it = file_index_.find(name);
-    return it == file_index_.end() ? kNoFile : it->second;
+void ProjectGraph::index_files() {
+    std::vector<std::string_view> names;
+    names.reserve(files_.size());
+    for (const FileNode& node : files_) names.push_back(node.name);
+    file_index_ = php::FileIndex(std::move(names));
 }
 
 void ProjectGraph::finish_edges() {
@@ -220,7 +217,6 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
     std::map<std::string_view, FileId> function_file;
     std::map<std::string_view, FileId> class_file;
     std::map<std::string_view, std::vector<FileId>> method_files;
-    std::map<std::string_view, std::vector<FileId>> basename_index;
     for (const FileFacts& f : facts) {
         const FileId id = static_cast<FileId>(g.files_.size());
         FileNode node;
@@ -228,8 +224,6 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
         node.hash = f.content_hash;
         node.parse_failed = f.parse_failed;
         g.files_.push_back(std::move(node));
-        g.file_index_.emplace(g.files_.back().name, id);
-        basename_index[basename_of(g.files_.back().name)].push_back(id);
 
         for (const std::string& fn : f.declared_functions) {
             const FuncId fid = static_cast<FuncId>(g.functions_.size());
@@ -250,36 +244,14 @@ ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
         }
     }
 
-    // Pass 2: edges. Include paths resolve like Project::resolve_include
-    // (exact name, then suffix, then basename — file order breaks ties),
-    // accelerated through the basename index: every suffix or basename
-    // match shares the path's final segment.
+    // Pass 2: edges. Include paths resolve through the same php::FileIndex
+    // rules as Project::resolve_include.
+    g.index_files();
     for (size_t i = 0; i < facts.size(); ++i) {
         const FileId from = static_cast<FileId>(i);
         FileNode& node = g.files_[i];
-        for (const std::string& raw : facts[i].include_paths) {
-            std::string_view path = raw;
-            while (starts_with(path, "./")) path.remove_prefix(2);
-            if (path.empty()) continue;
-            FileId to = g.file_id(path);
-            if (to == kNoFile) {
-                const auto candidates = basename_index.find(basename_of(path));
-                if (candidates != basename_index.end()) {
-                    for (const FileId c : candidates->second) {
-                        const std::string_view name =
-                            g.files_[static_cast<size_t>(c)].name;
-                        if (!ends_with(name, path)) continue;
-                        // Segment boundary: "b.php" must not claim "ab.php".
-                        if (name.size() > path.size() && path.front() != '/' &&
-                            name[name.size() - path.size() - 1] != '/')
-                            continue;
-                        to = c;
-                        break;
-                    }
-                    if (to == kNoFile && !candidates->second.empty())
-                        to = candidates->second.front();  // basename fallback
-                }
-            }
+        for (const std::string& path : facts[i].include_paths) {
+            const FileId to = g.file_index_.resolve(path);
             if (to != kNoFile) node.includes.push_back(to);
         }
         const auto link_use = [&](const FileId to) {
@@ -364,7 +336,7 @@ ProjectGraph::Analytics ProjectGraph::analyze(int hub_limit) const {
         // Top-level files and well-known entry basenames are assumed to be
         // reached by the CMS directly (WordPress loads plugin-dir/main.php
         // itself); everything else unreferenced is an orphan candidate.
-        const std::string_view base = basename_of(node.name);
+        const std::string_view base = php::basename_of(node.name);
         const bool entry_name =
             iequals(base, "index.php") || iequals(base, "main.php");
         if (node.included_by.empty() && node.used_by.empty() &&
@@ -535,10 +507,9 @@ bool ProjectGraph::from_json(std::string_view text, ProjectGraph& out,
         node.name = g.intern(name->string);
         node.hash = hash;
         node.parse_failed = failed && failed->is_bool() && failed->boolean;
-        const FileId id = static_cast<FileId>(g.files_.size());
         g.files_.push_back(std::move(node));
-        g.file_index_.emplace(g.files_.back().name, id);
     }
+    g.index_files();
     const int64_t file_count = static_cast<int64_t>(g.files_.size());
     for (const JsonValue& fn : functions->array) {
         const JsonValue* name = fn.get("name");

@@ -1,19 +1,18 @@
 // ProjectGraph: an explicit, queryable program graph for one scan request.
 // The include/call relationships phpSAFE relies on exist implicitly — as
-// resolution tables inside php::Project and as dependency records inside
-// AnalysisCache::validate_deps. This subsystem materializes them once per
-// scan into a dense graph artifact:
+// resolution tables inside php::Project and as dependency records checked
+// by service::DepCheckMemo::validate. This subsystem materializes them once
+// per scan into a dense graph artifact:
 //
 //   nodes  - files (every source file of the request) and functions (every
 //            declared free function and method, linked to its declaring
 //            file). Node names are interned into an arena; all public
 //            surfaces traffic in dense integer ids (FileId / FuncId).
 //   edges  - include edges (a file's include/require literals, resolved
-//            with the same exact → suffix → basename rules as
-//            php::Project::resolve_include) and use edges (a file calling
-//            a function, using a class, or extending a parent declared in
-//            another file). Both directions are stored, so reverse
-//            reachability is one adjacency walk.
+//            by the same php::FileIndex as php::Project::resolve_include)
+//            and use edges (a file calling a function, using a class, or
+//            extending a parent declared in another file). Both directions
+//            are stored, so reverse reachability is one adjacency walk.
 //
 // The graph is built from per-file FileFacts — a cheap, AST-walk summary
 // of what a file declares, calls and includes. Facts are independent per
@@ -41,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "php/file_index.h"
 #include "php/project.h"
 #include "util/arena.h"
 
@@ -78,9 +78,9 @@ bool structure_equals(const FileFacts& a, const FileFacts& b);
 
 class ProjectGraph {
 public:
-    using FileId = int32_t;
+    using FileId = php::FileIndex::Id;  ///< ids are FileIndex ids
     using FuncId = int32_t;
-    static constexpr FileId kNoFile = -1;
+    static constexpr FileId kNoFile = php::FileIndex::kNone;
 
     /// Ranked include hub: a file and how many distinct files include it.
     struct Hub {
@@ -105,7 +105,7 @@ public:
     /// php::Project: first declaration wins for functions and classes,
     /// method names link to every class declaring them (a conservative
     /// superset — the receiver class is not re-inferred here), include
-    /// paths resolve exact → suffix → basename in file order.
+    /// paths resolve like php::Project::resolve_include (php::FileIndex).
     static ProjectGraph build(std::vector<FileFacts> facts);
 
     // -- nodes ---------------------------------------------------------------
@@ -119,8 +119,8 @@ public:
     void set_file_hash(FileId id, uint64_t hash) {
         files_[static_cast<size_t>(id)].hash = hash;
     }
-    /// Id of the exactly-named file, or kNoFile.
-    FileId file_id(std::string_view name) const;
+    /// Id of the exactly-named file (the first of duplicates), or kNoFile.
+    FileId file_id(std::string_view name) const { return file_index_.find(name); }
 
     int function_count() const noexcept { return static_cast<int>(functions_.size()); }
     std::string_view function_name(FuncId id) const { return functions_[static_cast<size_t>(id)].name; }
@@ -194,11 +194,13 @@ private:
 
     std::string_view intern(std::string_view s);
     void finish_edges();
+    /// Rebuilds file_index_ over the file nodes' names.
+    void index_files();
 
     Arena names_;  ///< backs every node name; nodes hold views
     std::vector<FileNode> files_;
     std::vector<FuncNode> functions_;
-    std::map<std::string_view, FileId> file_index_;
+    php::FileIndex file_index_;  ///< views of the interned node names
     int include_edges_ = 0;
     int use_edges_ = 0;
 };

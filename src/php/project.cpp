@@ -79,6 +79,7 @@ void Project::parse_all(DiagnosticSink& sink) {
     }
     current_calls_ = nullptr;
     merge_calls();
+    index_files();
 
     // Stage attribution: lex time is measured inside the parser; everything
     // else in this call (parsing proper plus declaration indexing) counts as
@@ -90,15 +91,10 @@ void Project::parse_all(DiagnosticSink& sink) {
 
 std::optional<Project> Project::fork_with_replacement(
     std::string_view file_name, std::string text, DiagnosticSink& sink) const {
-    size_t slot = files_.size();
-    for (size_t i = 0; i < files_.size(); ++i)
-        if (files_[i] && files_[i]->unit.file_name == file_name) {
-            slot = i;
-            break;
-        }
     // Refuse when the file is unknown or this project was never fully built
     // (unparsed pending files, or no per-file call provenance to subtract).
-    if (slot == files_.size() || !pending_.empty() ||
+    const FileIndex::Id slot = file_index_.find(file_name);
+    if (slot == FileIndex::kNone || !pending_.empty() ||
         file_calls_.size() != files_.size())
         return std::nullopt;
 
@@ -109,6 +105,9 @@ std::optional<Project> Project::fork_with_replacement(
     const std::shared_ptr<const ParsedFile> replacement =
         parse_file(std::string(file_name), std::move(text), sink, lex_seconds);
     fork.files_[slot] = replacement;
+    // Rebuilt, not copied: the replacement owns a new name string, and the
+    // fork must not keep a view into the ParsedFile it replaced.
+    fork.index_files();
     fork.build_stats_.files_reused = static_cast<int>(files_.size()) - 1;
 
     // Index the replacement alone, then capture its entries for splicing.
@@ -130,43 +129,24 @@ std::optional<Project> Project::fork_with_replacement(
     // unchanged files' blocks (their views stay valid — the fork shares
     // those ParsedFiles), drop the replaced file's, and put the
     // replacement's block where the old one was.
-    std::map<std::string_view, size_t> file_order;
-    for (size_t i = 0; i < files_.size(); ++i)
-        file_order.emplace(files_[i]->unit.file_name, i);
-    const auto order_of = [&](std::string_view file) {
-        const auto it = file_order.find(file);
-        return it == file_order.end() ? files_.size() : it->second;
+    const auto splice = [&](const auto& list, const auto& block, auto& into,
+                            auto file_of) {
+        bool spliced = false;
+        for (const auto& entry : list) {
+            const FileIndex::Id ord = file_index_.find(file_of(entry));
+            if (ord == slot) continue;
+            if (!spliced && ord > slot) {
+                into.insert(into.end(), block.begin(), block.end());
+                spliced = true;
+            }
+            into.push_back(entry);
+        }
+        if (!spliced) into.insert(into.end(), block.begin(), block.end());
     };
-    bool fn_spliced = false;
-    for (const FunctionRef& ref : function_list_) {
-        const size_t ord = order_of(ref.file);
-        if (ord == slot) continue;
-        if (!fn_spliced && ord > slot) {
-            fork.function_list_.insert(fork.function_list_.end(),
-                                       repl_functions.begin(),
-                                       repl_functions.end());
-            fn_spliced = true;
-        }
-        fork.function_list_.push_back(ref);
-    }
-    if (!fn_spliced)
-        fork.function_list_.insert(fork.function_list_.end(),
-                                   repl_functions.begin(),
-                                   repl_functions.end());
-    bool cls_spliced = false;
-    for (const auto& entry : class_list_) {
-        const size_t ord = order_of(*entry.second);
-        if (ord == slot) continue;
-        if (!cls_spliced && ord > slot) {
-            fork.class_list_.insert(fork.class_list_.end(),
-                                    repl_classes.begin(), repl_classes.end());
-            cls_spliced = true;
-        }
-        fork.class_list_.push_back(entry);
-    }
-    if (!cls_spliced)
-        fork.class_list_.insert(fork.class_list_.end(), repl_classes.begin(),
-                                repl_classes.end());
+    splice(function_list_, repl_functions, fork.function_list_,
+           [](const FunctionRef& ref) { return ref.file; });
+    splice(class_list_, repl_classes, fork.class_list_,
+           [](const auto& entry) { return std::string_view(*entry.second); });
 
     // Rebuild the lookup maps from the spliced lists. Iterating in
     // declaration order reproduces parse_all()'s emplace order exactly, so
@@ -222,10 +202,11 @@ int Project::total_lines() const noexcept {
     return total;
 }
 
-const ParsedFile* Project::file_named(std::string_view name) const {
-    for (const auto& pf : files_)
-        if (pf && pf->source->name() == name) return pf.get();
-    return nullptr;
+void Project::index_files() {
+    std::vector<std::string_view> names;
+    names.reserve(files_.size());
+    for (const auto& pf : files_) names.emplace_back(pf->unit.file_name);
+    file_index_ = FileIndex(std::move(names));
 }
 
 void Project::index_statements(const ArenaVector<StmtPtr>& stmts,
@@ -414,30 +395,6 @@ std::vector<FunctionRef> Project::uncalled_functions() const {
         }
     }
     return out;
-}
-
-const ParsedFile* Project::resolve_include(std::string_view path) const {
-    if (path.empty()) return nullptr;
-    // Normalize leading "./".
-    while (starts_with(path, "./")) path.remove_prefix(2);
-
-    for (const auto& pf : files_)
-        if (pf->source->name() == path) return pf.get();
-    for (const auto& pf : files_)
-        if (ends_with(pf->source->name(), path)) return pf.get();
-    // Basename match as last resort.
-    const size_t slash = path.rfind('/');
-    const std::string_view base =
-        slash == std::string_view::npos ? path : path.substr(slash + 1);
-    for (const auto& pf : files_) {
-        const std::string& name = pf->source->name();
-        const size_t s = name.rfind('/');
-        const std::string_view file_base =
-            s == std::string::npos ? std::string_view(name)
-                                   : std::string_view(name).substr(s + 1);
-        if (file_base == base) return pf.get();
-    }
-    return nullptr;
 }
 
 }  // namespace phpsafe::php

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "php/ast.h"
+#include "php/file_index.h"
 #include "util/arena.h"
 #include "util/diagnostics.h"
 #include "util/source.h"
@@ -115,8 +116,10 @@ public:
     /// Total lines across all files (the paper reports corpus KLOC).
     int total_lines() const noexcept;
 
-    /// Exact-name file lookup (used by the service's dependency validation).
-    const ParsedFile* file_named(std::string_view name) const;
+    /// Exact-name file lookup (the first file when a name is duplicated).
+    const ParsedFile* file_named(std::string_view name) const {
+        return at(file_index_.find(name));
+    }
 
     /// Free function lookup (case-insensitive, as in PHP).
     const FunctionRef* find_function(std::string_view name) const;
@@ -162,10 +165,13 @@ public:
     /// these must still be analyzed — the CMS may call them directly).
     std::vector<FunctionRef> uncalled_functions() const;
 
-    /// Resolves an include path literal to a parsed file of this project,
-    /// matching by exact name, then suffix, then basename. Returns null for
-    /// external (CMS / PHP library) includes.
-    const ParsedFile* resolve_include(std::string_view path) const;
+    /// Resolves an include path literal (FileIndex::resolve, the rules the
+    /// project graph's include edges use too): exact name, then a suffix on
+    /// a path-segment boundary ("b.php" claims "lib/b.php", never "ab.php"),
+    /// then basename. Null for external (CMS / PHP library) includes.
+    const ParsedFile* resolve_include(std::string_view path) const {
+        return at(file_index_.resolve(path));
+    }
 
 private:
     void index_statements(const ArenaVector<StmtPtr>& stmts, const std::string& file);
@@ -179,6 +185,12 @@ private:
                                                         double& lex_seconds);
     /// Rebuilds the merged called-name sets from the per-file sets.
     void merge_calls();
+    /// Rebuilds file_index_ over files_ — eagerly, because worker threads
+    /// read one Project concurrently.
+    void index_files();
+    const ParsedFile* at(FileIndex::Id id) const {
+        return id == FileIndex::kNone ? nullptr : files_[id].get();
+    }
     /// Folds `name` into the reused scratch key and records it; allocates
     /// only the first time a given name is seen (call sites vastly outnumber
     /// unique callees, so the hot path stays allocation-free).
@@ -196,6 +208,7 @@ private:
         std::string text;
     };
     std::vector<PendingFile> pending_;
+    FileIndex file_index_;  ///< views of each file's unit.file_name
     /// Declaration tables. Keys are views of the declaration names, which
     /// live in the owning file's arena (pinned by files_), under the
     /// transparent FoldedLess comparator — so indexing a declaration costs

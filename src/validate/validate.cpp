@@ -84,21 +84,12 @@ bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
     const std::optional<std::string> patched_text = apply_quickfix(project, fix);
     if (!patched_text) return false;
 
+    // apply_quickfix found fix.file through the same file index the fork
+    // uses, so a fork refuses only a project that parse_all() never built.
     DiagnosticSink sink;
-    std::optional<php::Project> forked =
+    const std::optional<php::Project> forked =
         project.fork_with_replacement(fix.file, *patched_text, sink);
-    if (!forked) {  // file set changed under us; rebuild the slow way
-        php::Project rebuilt(project.name());
-        for (const auto& file : project.files()) {
-            if (!file || !file->source) continue;
-            if (file->source->name() == fix.file)
-                rebuilt.add_file(fix.file, *patched_text);
-            else
-                rebuilt.add_parsed(file);
-        }
-        rebuilt.parse_all(sink);
-        forked = std::move(rebuilt);
-    }
+    if (!forked) return false;
     const php::Project& patched = *forked;
     const php::ParsedFile* parsed = patched.file_named(fix.file);
     if (!parsed || parsed->parse_failed) return false;

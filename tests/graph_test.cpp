@@ -35,6 +35,44 @@ std::vector<std::string> names_of(const ProjectGraph& g,
     return names;
 }
 
+/// A parsed project of empty PHP files with the given names, in order.
+php::Project empty_files(const std::vector<std::string>& names) {
+    php::Project project("names");
+    for (const std::string& name : names) project.add_file(name, "<?php");
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    return project;
+}
+
+/// The file the engine's include resolution picks, or "<none>".
+std::string engine_resolves(const php::Project& project, std::string_view path) {
+    const php::ParsedFile* file = project.resolve_include(path);
+    return file ? file->unit.file_name : std::string("<none>");
+}
+
+/// Asserts that every include edge of `g` is exactly what
+/// Project::resolve_include makes of the file's include literals.
+void expect_edges_match_engine(const php::Project& project) {
+    const ProjectGraph g = build_project_graph(project);
+    ASSERT_EQ(g.file_count(), static_cast<int>(project.files().size()));
+    int edges = 0;
+    for (const auto& parsed : project.files()) {
+        const FileFacts f = extract_file_facts(*parsed);
+        std::set<std::string> expected;
+        for (const std::string& path : f.include_paths)
+            if (const php::ParsedFile* to = project.resolve_include(path))
+                expected.insert(to->unit.file_name);
+        const auto id = g.file_id(f.name);
+        ASSERT_NE(id, ProjectGraph::kNoFile) << f.name;
+        const std::vector<std::string> actual = names_of(g, g.includes_of(id));
+        EXPECT_EQ(std::set<std::string>(actual.begin(), actual.end()), expected)
+            << f.name;
+        edges += static_cast<int>(actual.size());
+    }
+    EXPECT_EQ(edges, g.include_edge_count());
+    EXPECT_GT(edges, 0);
+}
+
 TEST(FileFactsTest, ExtractsDeclarationsCallsAndIncludes) {
     php::Project project("facts");
     project.add_file("a.php",
@@ -115,6 +153,13 @@ TEST(ProjectGraphTest, IncludeResolutionExactThenSuffixThenBasename) {
     EXPECT_TRUE(std::count(edges.begin(), edges.end(), "sub/x.php"));
     EXPECT_TRUE(std::count(edges.begin(), edges.end(), "nested/deep/y.php"));
     EXPECT_TRUE(std::count(edges.begin(), edges.end(), "elsewhere/z.php"));
+
+    // The engine resolves the same literals to the same files.
+    const php::Project p = empty_files(
+        {"a.php", "sub/x.php", "nested/deep/y.php", "elsewhere/z.php"});
+    EXPECT_EQ(engine_resolves(p, "sub/x.php"), "sub/x.php");
+    EXPECT_EQ(engine_resolves(p, "/deep/y.php"), "nested/deep/y.php");
+    EXPECT_EQ(engine_resolves(p, "z.php"), "elsewhere/z.php");
 }
 
 TEST(ProjectGraphTest, SuffixMatchRespectsSegmentBoundary) {
@@ -126,6 +171,11 @@ TEST(ProjectGraphTest, SuffixMatchRespectsSegmentBoundary) {
                                           facts("lib/b.php")});
     const auto edges = names_of(g, g.includes_of(g.file_id("a.php")));
     EXPECT_EQ(edges, (std::vector<std::string>{"lib/b.php"}));
+
+    // The engine applies the same boundary rule.
+    EXPECT_EQ(engine_resolves(empty_files({"a.php", "ab.php", "lib/b.php"}),
+                              "b.php"),
+              "lib/b.php");
 }
 
 TEST(ProjectGraphTest, AnalyticsHubsOrphansDeadVendor) {
@@ -304,6 +354,28 @@ TEST(ProjectGraphTest, BuildFromParsedProject) {
     EXPECT_EQ(g.includes_of(main_id),
               (std::vector<ProjectGraph::FileId>{lib_id}));
     EXPECT_EQ(g.uses_of(main_id), (std::vector<ProjectGraph::FileId>{lib_id}));
+}
+
+TEST(MonorepoTest, IncludeEdgesAgreeWithEngineResolution) {
+    // The graph and the engine share one resolver; this pins that they
+    // cannot drift apart on a generated tree or on a corpus plugin.
+    const corpus::MonorepoSource repo = corpus::generate_monorepo({1.0, 40, 2015});
+    php::Project monorepo("monorepo");
+    for (const auto& [name, text] : repo.files) monorepo.add_file(name, text);
+    DiagnosticSink sink;
+    monorepo.parse_all(sink);
+    expect_edges_match_engine(monorepo);
+
+    corpus::CorpusOptions options;
+    options.num_plugins = 2;
+    options.num_oop_plugins = 1;
+    options.scale = 0.25;
+    options.filler_lines_2012 = 2000;
+    options.filler_lines_2014 = 4000;
+    const corpus::Corpus corpus = corpus::generate_corpus(options);
+    ASSERT_FALSE(corpus.plugins.empty());
+    const corpus::GeneratedPlugin& plugin = corpus.plugins.front();
+    expect_edges_match_engine(corpus::build_project(plugin, plugin.v2014, sink));
 }
 
 TEST(MonorepoTest, DeterministicAndScaled) {

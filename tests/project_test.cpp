@@ -115,6 +115,61 @@ TEST(ProjectTest, IncludeResolutionByExactSuffixBasename) {
     ASSERT_NE(p.resolve_include("./admin/panel.php"), nullptr);
     EXPECT_EQ(p.resolve_include("missing.php"), nullptr);
     EXPECT_EQ(p.resolve_include(""), nullptr);
+    EXPECT_EQ(p.resolve_include("./"), nullptr);
+
+    const auto resolved = [](const Project& project, std::string_view path) {
+        const ParsedFile* file = project.resolve_include(path);
+        return file ? file->unit.file_name : std::string("<none>");
+    };
+    // A suffix match starts on a path-segment boundary: "ab.php" ends with
+    // "b.php" but is another file, so the basename match lib/b.php wins.
+    EXPECT_EQ(resolved(make_project({{"ab.php", "<?php"},
+                                     {"lib/b.php", "<?php"}}),
+                       "b.php"),
+              "lib/b.php");
+    // The same rule one directory up: "xlib/b.php" does not end in the
+    // segment "lib/b.php".
+    EXPECT_EQ(resolved(make_project({{"xlib/b.php", "<?php"},
+                                     {"lib/b.php", "<?php"}}),
+                       "lib/b.php"),
+              "lib/b.php");
+    // The `dirname(__FILE__) . '/x.php'` idiom: a leading '/' is its own
+    // boundary.
+    EXPECT_EQ(resolved(make_project({{"main.php", "<?php"},
+                                     {"inc/x.php", "<?php"}}),
+                       "/inc/x.php"),
+              "inc/x.php");
+    // A duplicated name resolves (and looks up) to the first file.
+    const Project dup = make_project({{"a.php", "<?php $first = 1;"},
+                                      {"a.php", "<?php $second = 2;"}});
+    ASSERT_NE(dup.resolve_include("a.php"), nullptr);
+    EXPECT_EQ(dup.resolve_include("a.php"), dup.files()[0].get());
+    EXPECT_EQ(dup.file_named("a.php"), dup.files()[0].get());
+}
+
+TEST(ProjectTest, ForkResolvesAfterOriginalIsDestroyed) {
+    // The fork's file index must view the fork's own files: the
+    // replacement ParsedFile owns a new name string, and nothing may point
+    // into the original project's copy once the original is gone.
+    std::optional<Project> fork;
+    {
+        const Project original = make_project({
+            {"main.php", "<?php include 'inc/lib.php';"},
+            {"inc/lib.php", "<?php function lib() {}"},
+        });
+        DiagnosticSink sink;
+        fork = original.fork_with_replacement(
+            "inc/lib.php", "<?php function lib2() {}", sink);
+        ASSERT_TRUE(fork.has_value());
+    }
+    const ParsedFile* lib = fork->file_named("inc/lib.php");
+    ASSERT_NE(lib, nullptr);
+    EXPECT_EQ(lib, fork->files()[1].get());
+    EXPECT_NE(fork->find_function("lib2"), nullptr);
+    EXPECT_EQ(fork->resolve_include("lib.php"), lib);
+    EXPECT_EQ(fork->resolve_include("./inc/lib.php"), lib);
+    EXPECT_EQ(fork->resolve_include("main.php"), fork->file_named("main.php"));
+    EXPECT_EQ(fork->file_named("missing.php"), nullptr);
 }
 
 TEST(ProjectTest, TotalLines) {
