@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "php/walk.h"
 #include "util/json_reader.h"
 #include "util/json_writer.h"
 #include "util/strings.h"
@@ -13,12 +12,8 @@ namespace phpsafe::graph {
 
 namespace {
 
-void sort_unique(std::vector<std::string>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-void sort_unique_ids(std::vector<ProjectGraph::FileId>& v) {
+template <typename T>
+void sort_unique(std::vector<T>& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }
@@ -31,21 +26,6 @@ bool is_self_reference(std::string_view class_name) {
 std::string_view top_dir_of(std::string_view path) {
     const size_t slash = path.find('/');
     return slash == std::string_view::npos ? std::string_view() : path.substr(0, slash);
-}
-
-/// The trailing string literal of an include path expression, if any:
-/// handles plain literals and the `dirname(__FILE__) . '/x.php'` /
-/// `PLUGIN_DIR . 'inc/x.php'` concat idioms by descending the right spine.
-std::string_view include_literal(const php::Expr* path) {
-    while (path && path->kind == php::NodeKind::kBinary) {
-        const auto& binary = static_cast<const php::Binary&>(*path);
-        if (binary.op != php::BinaryOp::kConcat) return {};
-        path = binary.rhs;
-    }
-    if (!path || path->kind != php::NodeKind::kLiteral) return {};
-    const auto& literal = static_cast<const php::Literal&>(*path);
-    if (literal.type != php::Literal::Type::kString) return {};
-    return literal.value;
 }
 
 uint64_t parse_hex64(std::string_view hex, bool& ok) {
@@ -88,91 +68,30 @@ constexpr std::string_view kVendorDirNames[] = {
 
 }  // namespace
 
-FileFacts extract_file_facts(const php::ParsedFile& file) {
-    FileFacts facts;
-    facts.name = file.unit.file_name;
-    facts.content_hash = file.content_hash;
-    facts.parse_failed = file.parse_failed;
-
-    const php::ExprVisitor on_expr = [&](const php::Expr& e) {
-        switch (e.kind) {
-            case php::NodeKind::kFunctionCall: {
-                const auto& call = static_cast<const php::FunctionCall&>(e);
-                if (!call.name.empty())
-                    facts.called_functions.push_back(ascii_lower(call.name));
-                break;
-            }
-            case php::NodeKind::kMethodCall: {
-                const auto& call = static_cast<const php::MethodCall&>(e);
-                if (!call.method.empty())
-                    facts.called_methods.push_back(ascii_lower(call.method));
-                break;
-            }
-            case php::NodeKind::kStaticCall: {
-                const auto& call = static_cast<const php::StaticCall&>(e);
-                if (!call.method.empty())
-                    facts.called_methods.push_back(ascii_lower(call.method));
-                if (!call.class_name.empty() && !is_self_reference(call.class_name))
-                    facts.used_classes.push_back(ascii_lower(call.class_name));
-                break;
-            }
-            case php::NodeKind::kNew: {
-                const auto& n = static_cast<const php::New&>(e);
-                if (!n.class_name.empty() && !is_self_reference(n.class_name))
-                    facts.used_classes.push_back(ascii_lower(n.class_name));
-                break;
-            }
-            case php::NodeKind::kIncludeExpr: {
-                const auto& inc = static_cast<const php::IncludeExpr&>(e);
-                const std::string_view path = include_literal(inc.path);
-                if (!path.empty())
-                    facts.include_paths.emplace_back(path);
-                break;
-            }
-            default:
-                break;
-        }
+bool structure_equals(const php::ParsedFile& a, const php::ParsedFile& b) {
+    const php::FileFacts& x = a.facts;
+    const php::FileFacts& y = b.facts;
+    const auto same_function = [](const php::FunctionRef& l,
+                                  const php::FunctionRef& r) {
+        return iequals(l.decl->name, r.decl->name) &&
+               (l.owner ? r.owner && iequals(l.owner->name, r.owner->name)
+                        : !r.owner);
     };
-    const php::StmtVisitor on_stmt = [&](const php::Stmt& s) {
-        if (s.kind == php::NodeKind::kFunctionDecl) {
-            const auto& fn = static_cast<const php::FunctionDecl&>(s);
-            if (!fn.is_method && !fn.name.empty())
-                facts.declared_functions.push_back(ascii_lower(fn.name));
-        } else if (s.kind == php::NodeKind::kClassDecl) {
-            const auto& cls = static_cast<const php::ClassDecl&>(s);
-            if (cls.name.empty()) return;
-            const std::string class_lower = ascii_lower(cls.name);
-            facts.declared_classes.push_back(class_lower);
-            if (!cls.parent.empty() && !is_self_reference(cls.parent))
-                facts.used_classes.push_back(ascii_lower(cls.parent));
-            for (const php::FunctionDecl* method : cls.methods)
-                if (method && !method->name.empty())
-                    facts.declared_methods.push_back(class_lower + "::" +
-                                                     ascii_lower(method->name));
-        }
+    const auto same_class = [](const php::ClassDecl* l, const php::ClassDecl* r) {
+        return iequals(l->name, r->name) && iequals(l->parent, r->parent);
     };
-    for (const php::StmtPtr& stmt : file.unit.statements)
-        if (stmt) php::walk_stmt(*stmt, on_expr, on_stmt);
-
-    sort_unique(facts.declared_functions);
-    sort_unique(facts.declared_classes);
-    sort_unique(facts.declared_methods);
-    sort_unique(facts.called_functions);
-    sort_unique(facts.called_methods);
-    sort_unique(facts.used_classes);
-    sort_unique(facts.include_paths);
-    return facts;
-}
-
-bool structure_equals(const FileFacts& a, const FileFacts& b) {
-    return a.name == b.name && a.parse_failed == b.parse_failed &&
-           a.declared_functions == b.declared_functions &&
-           a.declared_classes == b.declared_classes &&
-           a.declared_methods == b.declared_methods &&
-           a.called_functions == b.called_functions &&
-           a.called_methods == b.called_methods &&
-           a.used_classes == b.used_classes &&
-           a.include_paths == b.include_paths;
+    return a.unit.file_name == b.unit.file_name &&
+           a.parse_failed == b.parse_failed &&
+           std::equal(x.functions.begin(), x.functions.end(),
+                      y.functions.begin(), y.functions.end(), same_function) &&
+           std::equal(x.classes.begin(), x.classes.end(), y.classes.begin(),
+                      y.classes.end(), same_class) &&
+           std::equal(x.called_functions.begin(), x.called_functions.end(),
+                      y.called_functions.begin(), y.called_functions.end()) &&
+           std::equal(x.called_methods.begin(), x.called_methods.end(),
+                      y.called_methods.begin(), y.called_methods.end()) &&
+           std::equal(x.includes.begin(), x.includes.end(), y.includes.begin(),
+                      y.includes.end());
 }
 
 std::string_view ProjectGraph::intern(std::string_view s) {
@@ -190,8 +109,8 @@ void ProjectGraph::finish_edges() {
     include_edges_ = 0;
     use_edges_ = 0;
     for (FileNode& node : files_) {
-        sort_unique_ids(node.includes);
-        sort_unique_ids(node.uses);
+        sort_unique(node.includes);
+        sort_unique(node.uses);
         node.included_by.clear();
         node.used_by.clear();
     }
@@ -207,69 +126,104 @@ void ProjectGraph::finish_edges() {
     }
 }
 
-ProjectGraph ProjectGraph::build(std::vector<FileFacts> facts) {
+ProjectGraph ProjectGraph::build(
+    const std::vector<std::shared_ptr<const php::ParsedFile>>& files) {
     ProjectGraph g;
-    g.files_.reserve(facts.size());
+    g.files_.reserve(files.size());
 
-    // Pass 1: file nodes + declaration indexes. First declaration wins for
-    // functions and classes (php::Project keeps the first emplace); method
-    // names index every declaring file.
+    // Pass 1: file nodes, function nodes and declaration indexes. First
+    // declaration wins for functions and classes (php::Project keeps the
+    // first emplace); method names index every declaring file. Every name
+    // is folded once, into the graph's arena, so the indexes compare plain
+    // bytes against the folded call keys.
     std::map<std::string_view, FileId> function_file;
     std::map<std::string_view, FileId> class_file;
     std::map<std::string_view, std::vector<FileId>> method_files;
-    for (const FileFacts& f : facts) {
+    std::string folded;
+    const auto fold = [&folded](std::string_view cls, std::string_view name)
+        -> const std::string& {
+        folded.clear();
+        if (!cls.empty()) {
+            append_folded(folded, cls);
+            folded += "::";
+        }
+        append_folded(folded, name);
+        return folded;
+    };
+    std::vector<std::string_view> names;
+    const auto add_functions = [&](FileId id) {
+        sort_unique(names);
+        for (const std::string_view name : names) {
+            g.files_.back().functions.push_back(
+                static_cast<FuncId>(g.functions_.size()));
+            g.functions_.push_back({name, id});
+        }
+    };
+    for (const auto& file : files) {
+        const php::FileFacts& facts = file->facts;
         const FileId id = static_cast<FileId>(g.files_.size());
         FileNode node;
-        node.name = g.intern(f.name);
-        node.hash = f.content_hash;
-        node.parse_failed = f.parse_failed;
+        node.name = g.intern(file->unit.file_name);
+        node.hash = file->content_hash;
+        node.parse_failed = file->parse_failed;
         g.files_.push_back(std::move(node));
 
-        for (const std::string& fn : f.declared_functions) {
-            const FuncId fid = static_cast<FuncId>(g.functions_.size());
-            g.functions_.push_back({g.intern(fn), id});
-            g.files_.back().functions.push_back(fid);
-            function_file.emplace(g.functions_.back().name, id);
-        }
-        for (const std::string& cls : f.declared_classes)
-            class_file.emplace(g.intern(cls), id);
-        for (const std::string& qualified : f.declared_methods) {
-            const FuncId fid = static_cast<FuncId>(g.functions_.size());
-            g.functions_.push_back({g.intern(qualified), id});
-            g.files_.back().functions.push_back(fid);
-            const size_t sep = qualified.find("::");
-            if (sep != std::string::npos)
-                method_files[g.functions_.back().name.substr(sep + 2)]
-                    .push_back(id);
-        }
+        names.clear();
+        for (const php::FunctionRef& ref : facts.functions)
+            if (!ref.owner && !ref.decl->name.empty())
+                names.push_back(g.intern(fold({}, ref.decl->name)));
+        add_functions(id);
+        for (const std::string_view name : names) function_file.emplace(name, id);
+        names.clear();
+        for (const php::FunctionRef& ref : facts.functions)
+            if (ref.owner && !ref.owner->name.empty() && !ref.decl->name.empty())
+                names.push_back(g.intern(fold(ref.owner->name, ref.decl->name)));
+        add_functions(id);
+        for (const std::string_view name : names)
+            method_files[name.substr(name.find("::") + 2)].push_back(id);
+        for (const php::ClassDecl* cls : facts.classes)
+            if (!cls->name.empty())
+                class_file.emplace(g.intern(fold({}, cls->name)), id);
     }
 
     // Pass 2: edges. Include paths resolve through the same php::FileIndex
-    // rules as Project::resolve_include.
+    // rules as Project::resolve_include; uses come from the call keys the
+    // engine's uncalled-function analysis reads.
     g.index_files();
-    for (size_t i = 0; i < facts.size(); ++i) {
+    for (size_t i = 0; i < files.size(); ++i) {
+        const php::FileFacts& facts = files[i]->facts;
         const FileId from = static_cast<FileId>(i);
         FileNode& node = g.files_[i];
-        for (const std::string& path : facts[i].include_paths) {
+        for (const std::string_view path : facts.includes) {
             const FileId to = g.file_index_.resolve(path);
             if (to != kNoFile) node.includes.push_back(to);
         }
         const auto link_use = [&](const FileId to) {
-            if (to != kNoFile && to != from) node.uses.push_back(to);
+            if (to != from) node.uses.push_back(to);
         };
-        for (const std::string& fn : facts[i].called_functions) {
-            const auto it = function_file.find(fn);
-            if (it != function_file.end()) link_use(it->second);
-        }
-        for (const std::string& method : facts[i].called_methods) {
-            const auto it = method_files.find(method);
+        const auto use_declarer = [&](const std::map<std::string_view, FileId>&
+                                          declared,
+                                      std::string_view name) {
+            const auto it = declared.find(name);
+            if (it != declared.end()) link_use(it->second);
+        };
+        for (const std::string_view fn : facts.called_functions)
+            use_declarer(function_file, fn);
+        for (const std::string_view key : facts.called_methods) {
+            const size_t sep = key.find("::");
+            const std::string_view cls = key.substr(0, sep);
+            if (!cls.empty()) {
+                if (!is_self_reference(cls)) use_declarer(class_file, cls);
+                continue;
+            }
+            const auto it = method_files.find(key.substr(sep + 2));
             if (it == method_files.end()) continue;
             for (const FileId to : it->second) link_use(to);
         }
-        for (const std::string& cls : facts[i].used_classes) {
-            const auto it = class_file.find(cls);
-            if (it != class_file.end()) link_use(it->second);
-        }
+        for (const php::ClassDecl* cls : facts.classes)
+            if (!cls->name.empty() && !cls->parent.empty() &&
+                !is_self_reference(cls->parent))
+                use_declarer(class_file, fold({}, cls->parent));
     }
 
     g.finish_edges();
@@ -549,11 +503,7 @@ bool ProjectGraph::from_json(std::string_view text, ProjectGraph& out,
 }
 
 ProjectGraph build_project_graph(const php::Project& project) {
-    std::vector<FileFacts> facts;
-    facts.reserve(project.files().size());
-    for (const auto& parsed : project.files())
-        if (parsed) facts.push_back(extract_file_facts(*parsed));
-    return ProjectGraph::build(std::move(facts));
+    return ProjectGraph::build(project.files());
 }
 
 std::string render_graph_analytics(const ProjectGraph& g,

@@ -14,10 +14,13 @@
 //            extending a parent declared in another file). Both directions
 //            are stored, so reverse reachability is one adjacency walk.
 //
-// The graph is built from per-file FileFacts — a cheap, AST-walk summary
-// of what a file declares, calls and includes. Facts are independent per
-// file, which is what makes the watch mode's incremental rebuild possible:
-// an edit re-extracts facts for the changed files only and re-links the
+// The graph is built from each file's php::FileFacts — what the file
+// declares, calls and includes, computed once at parse time by the same
+// AST walk that feeds php::Project's tables, so "calls" means the same
+// thing to the graph as to the engine (callback registrations included).
+// Facts live on the immutable ParsedFile and are shared through the file
+// pool like the AST, which is what makes the watch mode's incremental
+// rebuild cheap: an edit parses the changed files only and re-links the
 // graph (linking is O(V+E) string-map work, orders of magnitude below
 // re-analysis).
 //
@@ -36,6 +39,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,35 +50,12 @@
 
 namespace phpsafe::graph {
 
-/// What one file declares, calls and includes — everything ProjectGraph
-/// needs, detached from the AST so facts survive file-pool eviction. All
-/// names are ASCII-lowercased except file names and include paths, which
-/// keep their case (file resolution is case-sensitive, like the engine's).
-struct FileFacts {
-    std::string name;
-    uint64_t content_hash = 0;
-    bool parse_failed = false;
-    std::vector<std::string> declared_functions;  ///< free functions
-    std::vector<std::string> declared_classes;
-    std::vector<std::string> declared_methods;    ///< "class::method"
-    std::vector<std::string> called_functions;
-    std::vector<std::string> called_methods;      ///< bare method names
-    std::vector<std::string> used_classes;        ///< new/static-call/extends
-    std::vector<std::string> include_paths;       ///< literal (or trailing-
-                                                  ///< literal concat) paths
-};
-
-/// Extracts facts from one parsed file (one pre-order AST walk). An
-/// include path built by concatenation keeps its trailing string literal —
-/// the `dirname(__FILE__) . '/x.php'` idiom resolves through the same
-/// suffix match the engine uses.
-FileFacts extract_file_facts(const php::ParsedFile& file);
-
-/// True when two facts would produce the same graph nodes and edges —
-/// everything except the content hash. An edit that only touches comments,
-/// whitespace or statement bodies keeps the structure, so a linked graph
-/// stays valid and only the node hash needs refreshing (set_file_hash).
-bool structure_equals(const FileFacts& a, const FileFacts& b);
+/// True when two parses of a file would produce the same graph nodes and
+/// edges: same name, parse state and facts (names compared folded). An
+/// edit that only touches comments, whitespace or statement bodies keeps
+/// the structure, so a linked graph stays valid and only the node hash
+/// needs refreshing (set_file_hash).
+bool structure_equals(const php::ParsedFile& a, const php::ParsedFile& b);
 
 class ProjectGraph {
 public:
@@ -101,12 +82,16 @@ public:
     ProjectGraph(ProjectGraph&&) = default;
     ProjectGraph& operator=(ProjectGraph&&) = default;
 
-    /// Links a graph from per-file facts. Name resolution mirrors
-    /// php::Project: first declaration wins for functions and classes,
-    /// method names link to every class declaring them (a conservative
-    /// superset — the receiver class is not re-inferred here), include
+    /// Links a graph from the files' facts, one file node per file in
+    /// order. Function nodes are each file's free functions, then its
+    /// "class::method"s, each sorted by folded name. Name resolution mirrors
+    /// php::Project: first declaration wins for functions and classes, a
+    /// "::method" call links to every class declaring the method (a
+    /// conservative superset — the receiver class is not re-inferred here),
+    /// a "class::method" call and an `extends` use the class, and include
     /// paths resolve like php::Project::resolve_include (php::FileIndex).
-    static ProjectGraph build(std::vector<FileFacts> facts);
+    static ProjectGraph build(
+        const std::vector<std::shared_ptr<const php::ParsedFile>>& files);
 
     // -- nodes ---------------------------------------------------------------
     int file_count() const noexcept { return static_cast<int>(files_.size()); }
@@ -205,7 +190,7 @@ private:
     int use_edges_ = 0;
 };
 
-/// Extracts facts for every file of a parsed project and links the graph.
+/// Links the graph of a parsed project's files.
 ProjectGraph build_project_graph(const php::Project& project);
 
 /// Renders analyze() output as one compact JSON object (the payload of the

@@ -37,6 +37,192 @@ void Project::add_parsed(std::shared_ptr<const ParsedFile> file) {
     files_.push_back(std::move(file));
 }
 
+namespace {
+
+/// The trailing string literal of an include path expression, if any:
+/// handles plain literals and the `dirname(__FILE__) . '/x.php'` /
+/// `PLUGIN_DIR . 'inc/x.php'` concat idioms by descending the right spine.
+std::string_view include_literal(const Expr* path) {
+    while (path && path->kind == NodeKind::kBinary) {
+        const auto& binary = static_cast<const Binary&>(*path);
+        if (binary.op != BinaryOp::kConcat) return {};
+        path = binary.rhs;
+    }
+    if (!path || path->kind != NodeKind::kLiteral) return {};
+    const auto& literal = static_cast<const Literal&>(*path);
+    if (literal.type != Literal::Type::kString) return {};
+    return literal.value;
+}
+
+/// Collects one file's FileFacts in a single pre-order walk. Called names
+/// are folded back to back into one scratch buffer and de-duplicated before
+/// anything is copied into the file's arena, so the arena holds each key
+/// once. The scratch buffers are reused from file to file (one collector
+/// per thread), so in steady state the walk allocates nothing on the heap.
+class FactsCollector {
+public:
+    FileFacts collect(const FileUnit& unit, Arena& arena) {
+        file_ = unit.file_name;
+        methods_.clear();
+        free_functions_.clear();
+        classes_.clear();
+        includes_.clear();
+        keys_.clear();
+        function_keys_.clear();
+        method_keys_.clear();
+        const ExprVisitor on_expr = [this](const Expr& e) { visit(e); };
+        const StmtVisitor on_stmt = [this](const Stmt& s) { visit(s); };
+        for (const StmtPtr& s : unit.statements)
+            if (s) walk_stmt(*s, on_expr, on_stmt);
+
+        FileFacts facts;
+        methods_.insert(methods_.end(), free_functions_.begin(),
+                        free_functions_.end());
+        facts.functions = copy_to(arena, methods_);
+        facts.classes = copy_to(arena, classes_);
+        facts.called_functions = store_keys(arena, function_keys_);
+        facts.called_methods = store_keys(arena, method_keys_);
+        std::sort(includes_.begin(), includes_.end());
+        includes_.erase(std::unique(includes_.begin(), includes_.end()),
+                        includes_.end());
+        facts.includes = copy_to(arena, includes_);
+        return facts;
+    }
+
+private:
+    using Span = std::pair<size_t, size_t>;  ///< (offset, length) in keys_
+
+    /// An exactly-sized arena copy (growing in place would strand the
+    /// outgrown buffers in the arena).
+    template <typename T>
+    static ArenaVector<T> copy_to(Arena& arena, const std::vector<T>& from) {
+        ArenaVector<T> out{ArenaAllocator<T>(&arena)};
+        out.reserve(from.size());
+        out.assign(from.begin(), from.end());
+        return out;
+    }
+
+    ArenaVector<std::string_view> store_keys(Arena& arena,
+                                             const std::vector<Span>& spans) {
+        std::vector<std::string_view>& keys = sorted_keys_;
+        keys.clear();
+        for (const auto& [offset, length] : spans)
+            keys.push_back(std::string_view(keys_).substr(offset, length));
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+        for (std::string_view& key : keys) key = arena.store(key);
+        return copy_to(arena, keys);
+    }
+
+    void visit(const Stmt& s) {
+        if (s.kind == NodeKind::kClassDecl) {
+            const auto& cls = static_cast<const ClassDecl&>(s);
+            classes_.push_back(&cls);
+            for (const FunctionDecl* method : cls.methods)
+                methods_.push_back(FunctionRef{method, &cls, file_});
+        } else if (s.kind == NodeKind::kFunctionDecl) {
+            // walk_stmt also visits method FunctionDecls; the parser marks
+            // those with is_method.
+            const auto& fn = static_cast<const FunctionDecl&>(s);
+            if (!fn.is_method)
+                free_functions_.push_back(FunctionRef{&fn, nullptr, file_});
+        }
+    }
+
+    void visit(const Expr& e) {
+        switch (e.kind) {
+            case NodeKind::kFunctionCall: {
+                const auto& call = static_cast<const FunctionCall&>(e);
+                if (!call.name.empty()) note_function(call.name);
+                // Callback registration APIs make the named function
+                // "called": add_action('init', 'my_handler') etc. keep
+                // handlers reachable.
+                static const char* kCallbackApis[] = {
+                    "add_action", "add_filter", "register_activation_hook",
+                    "register_deactivation_hook", "add_shortcode",
+                    "call_user_func", "call_user_func_array", "array_map",
+                    "array_filter", "usort",
+                };
+                for (const char* api : kCallbackApis) {
+                    if (!iequals(call.name, api)) continue;
+                    for (const Argument& arg : call.args) {
+                        if (!arg.value) continue;
+                        if (arg.value->kind == NodeKind::kLiteral) {
+                            const auto& lit = static_cast<const Literal&>(*arg.value);
+                            if (lit.type == Literal::Type::kString &&
+                                !lit.value.empty())
+                                note_function(lit.value);
+                        }
+                        // array($obj, 'method') / array('Class', 'method')
+                        if (arg.value->kind == NodeKind::kArrayLiteral) {
+                            const auto& arr =
+                                static_cast<const ArrayLiteral&>(*arg.value);
+                            if (arr.items.size() == 2 && arr.items[1].value &&
+                                arr.items[1].value->kind == NodeKind::kLiteral) {
+                                const auto& lit =
+                                    static_cast<const Literal&>(*arr.items[1].value);
+                                if (lit.type == Literal::Type::kString)
+                                    note_method("", lit.value);
+                            }
+                        }
+                    }
+                }
+                break;
+            }
+            case NodeKind::kMethodCall: {
+                const auto& call = static_cast<const MethodCall&>(e);
+                if (!call.method.empty()) note_method("", call.method);
+                break;
+            }
+            case NodeKind::kStaticCall: {
+                const auto& call = static_cast<const StaticCall&>(e);
+                note_method(call.class_name, call.method);
+                note_method("", call.method);
+                break;
+            }
+            case NodeKind::kNew: {
+                const auto& n = static_cast<const New&>(e);
+                if (!n.class_name.empty()) note_method(n.class_name, "__construct");
+                break;
+            }
+            case NodeKind::kIncludeExpr: {
+                const std::string_view path =
+                    include_literal(static_cast<const IncludeExpr&>(e).path);
+                if (!path.empty()) includes_.push_back(path);
+                break;
+            }
+            default:
+                break;
+        }
+    }
+
+    void note_function(std::string_view name) {
+        const size_t offset = keys_.size();
+        append_folded(keys_, name);
+        function_keys_.emplace_back(offset, keys_.size() - offset);
+    }
+
+    void note_method(std::string_view class_name, std::string_view method) {
+        const size_t offset = keys_.size();
+        append_folded(keys_, class_name);
+        keys_ += "::";
+        append_folded(keys_, method);
+        method_keys_.emplace_back(offset, keys_.size() - offset);
+    }
+
+    std::string_view file_;
+    std::vector<FunctionRef> methods_;  ///< then the free functions, appended
+    std::vector<FunctionRef> free_functions_;
+    std::vector<const ClassDecl*> classes_;
+    std::vector<std::string_view> includes_;
+    std::string keys_;
+    std::vector<Span> function_keys_;
+    std::vector<Span> method_keys_;
+    std::vector<std::string_view> sorted_keys_;
+};
+
+}  // namespace
+
 std::shared_ptr<const ParsedFile> Project::parse_file(std::string name,
                                                       std::string text,
                                                       DiagnosticSink& sink,
@@ -49,6 +235,8 @@ std::shared_ptr<const ParsedFile> Project::parse_file(std::string name,
     Parser parser(*pf->source, pf->arena, sink);
     pf->unit = parser.parse();
     pf->ast_nodes = delta.take().ast_nodes;
+    static thread_local FactsCollector collector;
+    pf->facts = collector.collect(pf->unit, pf->arena);
     lex_seconds += parser.lex_cpu_seconds();
     ++obs::tls().files_parsed;
     obs::tls().alloc_arena_bytes += pf->arena.bytes_allocated();
@@ -68,22 +256,11 @@ void Project::parse_all(DiagnosticSink& sink) {
                                           lex_seconds);
     }
     pending_.clear();
-
-    file_calls_.assign(files_.size(), FileCalls{});
-    for (size_t i = 0; i < files_.size(); ++i) {
-        const std::shared_ptr<const ParsedFile>& pf = files_[i];
-        index_statements(pf->unit.statements, pf->unit.file_name);
-        current_calls_ = &file_calls_[i];
-        for (const StmtPtr& s : pf->unit.statements)
-            if (s) record_calls_stmt(*s);
-    }
-    current_calls_ = nullptr;
-    merge_calls();
-    index_files();
+    index();
 
     // Stage attribution: lex time is measured inside the parser; everything
-    // else in this call (parsing proper plus declaration indexing) counts as
-    // the parse stage of model construction.
+    // else in this call (parsing proper, the facts walk and the tables)
+    // counts as the parse stage of model construction.
     build_stats_.lex_cpu_seconds += lex_seconds;
     build_stats_.parse_cpu_seconds +=
         thread_cpu_seconds() - build_start - lex_seconds;
@@ -91,89 +268,19 @@ void Project::parse_all(DiagnosticSink& sink) {
 
 std::optional<Project> Project::fork_with_replacement(
     std::string_view file_name, std::string text, DiagnosticSink& sink) const {
-    // Refuse when the file is unknown or this project was never fully built
-    // (unparsed pending files, or no per-file call provenance to subtract).
     const FileIndex::Id slot = file_index_.find(file_name);
-    if (slot == FileIndex::kNone || !pending_.empty() ||
-        file_calls_.size() != files_.size())
-        return std::nullopt;
+    if (slot == FileIndex::kNone || !pending_.empty()) return std::nullopt;
 
     Project fork(name_);
     const double build_start = thread_cpu_seconds();
     double lex_seconds = 0;
     fork.files_ = files_;
-    const std::shared_ptr<const ParsedFile> replacement =
+    fork.files_[slot] =
         parse_file(std::string(file_name), std::move(text), sink, lex_seconds);
-    fork.files_[slot] = replacement;
     // Rebuilt, not copied: the replacement owns a new name string, and the
     // fork must not keep a view into the ParsedFile it replaced.
-    fork.index_files();
+    fork.index();
     fork.build_stats_.files_reused = static_cast<int>(files_.size()) - 1;
-
-    // Index the replacement alone, then capture its entries for splicing.
-    fork.index_statements(replacement->unit.statements,
-                          replacement->unit.file_name);
-    const std::vector<FunctionRef> repl_functions =
-        std::move(fork.function_list_);
-    const std::vector<std::pair<const ClassDecl*, const std::string*>>
-        repl_classes = std::move(fork.class_list_);
-    fork.functions_.clear();
-    fork.methods_.clear();
-    fork.classes_.clear();
-    fork.class_files_.clear();
-    fork.function_list_.clear();
-    fork.class_list_.clear();
-
-    // Splice declaration order: parse_all() indexes file by file, so each
-    // list is a sequence of per-file blocks in registration order. Keep the
-    // unchanged files' blocks (their views stay valid — the fork shares
-    // those ParsedFiles), drop the replaced file's, and put the
-    // replacement's block where the old one was.
-    const auto splice = [&](const auto& list, const auto& block, auto& into,
-                            auto file_of) {
-        bool spliced = false;
-        for (const auto& entry : list) {
-            const FileIndex::Id ord = file_index_.find(file_of(entry));
-            if (ord == slot) continue;
-            if (!spliced && ord > slot) {
-                into.insert(into.end(), block.begin(), block.end());
-                spliced = true;
-            }
-            into.push_back(entry);
-        }
-        if (!spliced) into.insert(into.end(), block.begin(), block.end());
-    };
-    splice(function_list_, repl_functions, fork.function_list_,
-           [](const FunctionRef& ref) { return ref.file; });
-    splice(class_list_, repl_classes, fork.class_list_,
-           [](const auto& entry) { return std::string_view(*entry.second); });
-
-    // Rebuild the lookup maps from the spliced lists. Iterating in
-    // declaration order reproduces parse_all()'s emplace order exactly, so
-    // duplicate declarations resolve to the same winners a full rebuild of
-    // the patched file set would pick.
-    for (const FunctionRef& ref : fork.function_list_) {
-        if (ref.owner)
-            fork.methods_.emplace(MethodKey{ref.owner->name, ref.decl->name},
-                                  ref);
-        else
-            fork.functions_.emplace(ref.decl->name, ref);
-    }
-    for (const auto& [decl, file] : fork.class_list_) {
-        fork.classes_.emplace(decl->name, decl);
-        fork.class_files_.emplace(decl->name, file);
-    }
-
-    // Called-name sets: keep the unchanged files' per-file contributions,
-    // re-record only the replacement's, and re-merge.
-    fork.file_calls_ = file_calls_;
-    fork.file_calls_[slot] = FileCalls{};
-    fork.current_calls_ = &fork.file_calls_[slot];
-    for (const StmtPtr& s : replacement->unit.statements)
-        if (s) fork.record_calls_stmt(*s);
-    fork.current_calls_ = nullptr;
-    fork.merge_calls();
-
     fork.build_stats_.lex_cpu_seconds = lex_seconds;
     fork.build_stats_.parse_cpu_seconds =
         thread_cpu_seconds() - build_start - lex_seconds;
@@ -182,14 +289,14 @@ std::optional<Project> Project::fork_with_replacement(
 
 std::string Project::declaration_fingerprint(std::string_view file) const {
     std::string fp;
-    for (const auto& [decl, from] : class_list_) {
-        if (*from != file) continue;
+    const ParsedFile* pf = file_named(file);
+    if (!pf) return fp;
+    for (const ClassDecl* cls : pf->facts.classes) {
         fp += "class ";
-        fp += decl->name;
+        fp += cls->name;
         fp += ';';
     }
-    for (const FunctionRef& ref : function_list_) {
-        if (ref.file != file) continue;
+    for (const FunctionRef& ref : pf->facts.functions) {
         fp += ref.qualified_name();
         fp += ';';
     }
@@ -202,138 +309,66 @@ int Project::total_lines() const noexcept {
     return total;
 }
 
-void Project::index_files() {
-    std::vector<std::string_view> names;
-    names.reserve(files_.size());
-    for (const auto& pf : files_) names.emplace_back(pf->unit.file_name);
-    file_index_ = FileIndex(std::move(names));
-}
-
-void Project::index_statements(const ArenaVector<StmtPtr>& stmts,
-                               const std::string& file) {
-    // Pass 1: register classes and their methods. Keys are views of the
-    // declaration names in the file's arena; `file` is the stable
-    // unit.file_name of the declaring ParsedFile — indexing a declaration
-    // costs one tree-node allocation and nothing else.
-    auto visit = [&](const Stmt& s) {
-        if (s.kind != NodeKind::kClassDecl) return;
-        const auto& cls = static_cast<const ClassDecl&>(s);
-        classes_.emplace(cls.name, &cls);
-        class_files_.emplace(cls.name, &file);
-        class_list_.emplace_back(&cls, &file);
-        for (const FunctionDecl* method : cls.methods) {
-            FunctionRef ref{method, &cls, file};
-            methods_.emplace(MethodKey{cls.name, method->name}, ref);
-            function_list_.push_back(ref);
-        }
-    };
-    for (const StmtPtr& stmt : stmts)
-        if (stmt) walk_stmt(*stmt, [](const Expr&) {}, visit);
-
-    // Pass 2: free functions, wherever declared (top level, inside
-    // conditional guards, nested in other functions). walk_stmt also visits
-    // method FunctionDecls; the parser marks those with is_method.
-    auto visit_fn = [&](const Stmt& s) {
-        if (s.kind != NodeKind::kFunctionDecl) return;
-        const auto& fn = static_cast<const FunctionDecl&>(s);
-        if (fn.is_method) return;
-        FunctionRef ref{&fn, nullptr, file};
-        functions_.emplace(fn.name, ref);
-        function_list_.push_back(ref);
-    };
-    for (const StmtPtr& stmt : stmts)
-        if (stmt) walk_stmt(*stmt, [](const Expr&) {}, visit_fn);
-}
-
-void Project::record_calls_stmt(const Stmt& s) {
-    walk_stmt(
-        s, [this](const Expr& e) { record_calls_expr(e); }, [](const Stmt&) {});
-}
-
-void Project::note_called_function(std::string_view name) {
-    call_key_.clear();
-    append_folded(call_key_, name);
-    std::set<std::string>& into =
-        current_calls_ ? current_calls_->functions : called_functions_;
-    if (!into.count(call_key_)) into.insert(call_key_);
-}
-
-void Project::note_called_method(std::string_view class_name,
-                                 std::string_view method) {
-    call_key_.clear();
-    append_folded(call_key_, class_name);
-    call_key_ += "::";
-    append_folded(call_key_, method);
-    std::set<std::string>& into =
-        current_calls_ ? current_calls_->methods : called_methods_;
-    if (!into.count(call_key_)) into.insert(call_key_);
-}
-
-void Project::merge_calls() {
+void Project::index() {
+    functions_.clear();
+    classes_.clear();
+    class_files_.clear();
+    methods_.clear();
+    function_list_.clear();
     called_functions_.clear();
     called_methods_.clear();
-    for (const FileCalls& calls : file_calls_) {
-        called_functions_.insert(calls.functions.begin(), calls.functions.end());
-        called_methods_.insert(calls.methods.begin(), calls.methods.end());
+    std::vector<std::string_view> names;
+    names.reserve(files_.size());
+    for (const auto& pf : files_) {
+        names.emplace_back(pf->unit.file_name);
+        const FileFacts& facts = pf->facts;
+        for (const FunctionRef& ref : facts.functions) {
+            if (ref.owner)
+                methods_.emplace(MethodKey{ref.owner->name, ref.decl->name}, ref);
+            else
+                functions_.emplace(ref.decl->name, ref);
+        }
+        function_list_.insert(function_list_.end(), facts.functions.begin(),
+                              facts.functions.end());
+        for (const ClassDecl* cls : facts.classes) {
+            classes_.emplace(cls->name, cls);
+            class_files_.emplace(cls->name, &pf->unit.file_name);
+        }
+        called_functions_.insert(called_functions_.end(),
+                                 facts.called_functions.begin(),
+                                 facts.called_functions.end());
+        called_methods_.insert(called_methods_.end(),
+                               facts.called_methods.begin(),
+                               facts.called_methods.end());
     }
-}
+    file_index_ = FileIndex(std::move(names));
+    for (std::vector<std::string_view>* keys :
+         {&called_functions_, &called_methods_}) {
+        std::sort(keys->begin(), keys->end());
+        keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+    }
 
-void Project::record_calls_expr(const Expr& e) {
-    switch (e.kind) {
-        case NodeKind::kFunctionCall: {
-            const auto& call = static_cast<const FunctionCall&>(e);
-            if (!call.name.empty()) note_called_function(call.name);
-            // Callback registration APIs make the named function "called":
-            // add_action('init', 'my_handler') etc. keep handlers reachable.
-            static const char* kCallbackApis[] = {
-                "add_action", "add_filter", "register_activation_hook",
-                "register_deactivation_hook", "add_shortcode", "call_user_func",
-                "call_user_func_array", "array_map", "array_filter", "usort",
-            };
-            for (const char* api : kCallbackApis) {
-                if (!iequals(call.name, api)) continue;
-                for (const Argument& arg : call.args) {
-                    if (!arg.value) continue;
-                    if (arg.value->kind == NodeKind::kLiteral) {
-                        const auto& lit = static_cast<const Literal&>(*arg.value);
-                        if (lit.type == Literal::Type::kString && !lit.value.empty())
-                            note_called_function(lit.value);
-                    }
-                    // array($obj, 'method') / array('Class', 'method')
-                    if (arg.value->kind == NodeKind::kArrayLiteral) {
-                        const auto& arr = static_cast<const ArrayLiteral&>(*arg.value);
-                        if (arr.items.size() == 2 && arr.items[1].value &&
-                            arr.items[1].value->kind == NodeKind::kLiteral) {
-                            const auto& lit =
-                                static_cast<const Literal&>(*arr.items[1].value);
-                            if (lit.type == Literal::Type::kString)
-                                note_called_method("", lit.value);
-                        }
-                    }
-                }
-            }
-            break;
+    const auto called = [](const std::vector<std::string_view>& keys,
+                           std::string_view key) {
+        return std::binary_search(keys.begin(), keys.end(), key);
+    };
+    uncalled_.clear();
+    std::string key;
+    for (const FunctionRef& ref : function_list_) {
+        key.clear();
+        if (!ref.owner) {
+            append_folded(key, ref.decl->name);
+            if (!called(called_functions_, key)) uncalled_.push_back(ref);
+            continue;
         }
-        case NodeKind::kMethodCall: {
-            const auto& call = static_cast<const MethodCall&>(e);
-            if (!call.method.empty())
-                note_called_method("", call.method);
-            break;
-        }
-        case NodeKind::kStaticCall: {
-            const auto& call = static_cast<const StaticCall&>(e);
-            note_called_method(call.class_name, call.method);
-            note_called_method("", call.method);
-            break;
-        }
-        case NodeKind::kNew: {
-            const auto& n = static_cast<const New&>(e);
-            if (!n.class_name.empty())
-                note_called_method(n.class_name, "__construct");
-            break;
-        }
-        default:
-            break;
+        if (iequals(ref.decl->name, "__construct")) continue;  // run via `new`
+        append_folded(key, ref.owner->name);
+        const size_t bare = key.size();  // key.substr(bare) is "::method"
+        key += "::";
+        append_folded(key, ref.decl->name);
+        if (!called(called_methods_, key) &&
+            !called(called_methods_, std::string_view(key).substr(bare)))
+            uncalled_.push_back(ref);
     }
 }
 
@@ -376,25 +411,6 @@ const FunctionRef* Project::find_method_any(std::string_view method_name) const 
         found = &ref;
     }
     return found;
-}
-
-std::vector<FunctionRef> Project::uncalled_functions() const {
-    std::vector<FunctionRef> out;
-    for (const FunctionRef& ref : function_list_) {
-        if (!ref.decl) continue;
-        if (ref.owner) {
-            const std::string method = ascii_lower(ref.decl->name);
-            if (method == "__construct") continue;  // run via `new`
-            const bool called =
-                called_methods_.count(ascii_lower(ref.owner->name) + "::" + method) ||
-                called_methods_.count("::" + method);
-            if (!called) out.push_back(ref);
-        } else {
-            if (!called_functions_.count(ascii_lower(ref.decl->name)))
-                out.push_back(ref);
-        }
-    }
-    return out;
 }
 
 }  // namespace phpsafe::php

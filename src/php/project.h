@@ -5,6 +5,14 @@
 // in WordPress plugins) — and records which functions are called from
 // plugin code so the engine can analyze the never-called ones too.
 //
+// Those declaration, call and include facts are computed once per file, by
+// the one AST walk in parse_file(), and stored on the immutable ParsedFile
+// (FileFacts). Building the project tables — for a fresh parse, for a file
+// set injected pre-parsed from a cache, or for a single-file fork — only
+// appends each file's facts in registration order; no AST is walked twice.
+// The project graph (graph/project_graph.h) and the watch mode read the
+// same facts.
+//
 // Incremental-analysis hooks (service/): every file carries a stable
 // content hash (fnv1a64 of its text), parsed files are held by shared
 // pointer so an immutable AST can be shared between the project that parsed
@@ -17,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,26 +37,6 @@
 #include "util/strings.h"
 
 namespace phpsafe::php {
-
-/// One immutable parsed file. The AST's nodes and every string_view hanging
-/// off them point into `arena` or `source`; member order matters — `unit` is
-/// destroyed first, then the arena, then the source text, so nothing dangles
-/// during teardown. Holders of node pointers (engine scopes, summaries,
-/// findings) must either keep the owning shared_ptr alive or copy/intern the
-/// strings they retain (see docs/performance.md).
-struct ParsedFile {
-    std::unique_ptr<SourceFile> source;
-    Arena arena;  ///< backs all AST nodes + decoded/synthesized strings
-    FileUnit unit;
-    bool parse_failed = false;  ///< a kFatal diagnostic was recorded
-    uint64_t content_hash = 0;  ///< fnv1a64 of the source text
-    uint64_t text_bytes = 0;    ///< source text size
-    uint64_t ast_nodes = 0;     ///< AST nodes built for this file
-};
-
-/// Stable content hash of one file's text; the key of every file-level
-/// entry in the incremental service's cache.
-uint64_t content_hash(std::string_view text) noexcept;
 
 /// Where a function/method declaration lives. `file` is a view of the
 /// declaring ParsedFile's unit.file_name — valid as long as the Project
@@ -64,11 +51,57 @@ struct FunctionRef {
     std::string qualified_name() const;
 };
 
+/// What one file declares, calls and includes: the per-file input of model
+/// construction and of the project graph. Filled by the single AST walk in
+/// Project::parse_file() and immutable afterwards, like the AST it views;
+/// every buffer and folded key lives in the owning ParsedFile's arena.
+struct FileFacts {
+    /// Declarations in declaration order: the methods of each class (classes
+    /// in walk order), then the free functions wherever declared (top level,
+    /// inside conditional guards, nested in other functions).
+    ArenaVector<FunctionRef> functions;
+    ArenaVector<const ClassDecl*> classes;  ///< walk order
+    /// Called free functions, ASCII-folded, sorted, de-duplicated. A
+    /// callback registration (add_action('init', 'h'), call_user_func, ...)
+    /// calls its literal target.
+    ArenaVector<std::string_view> called_functions;
+    /// Called methods as folded "class::method" keys, "::method" when the
+    /// receiver class is unknown; `new C` calls "c::__construct". Sorted,
+    /// de-duplicated.
+    ArenaVector<std::string_view> called_methods;
+    /// Include/require path literals, sorted and de-duplicated. A path built
+    /// by concatenation keeps its trailing literal, so the
+    /// `dirname(__FILE__) . '/x.php'` idiom resolves by suffix.
+    ArenaVector<std::string_view> includes;
+};
+
+/// One immutable parsed file. The AST's nodes and every string_view hanging
+/// off them point into `arena` or `source`; member order matters — `facts`
+/// and `unit` are destroyed first, then the arena, then the source text, so
+/// nothing dangles during teardown. Holders of node pointers (engine scopes,
+/// summaries, findings) must either keep the owning shared_ptr alive or
+/// copy/intern the strings they retain (see docs/performance.md).
+struct ParsedFile {
+    std::unique_ptr<SourceFile> source;
+    Arena arena;  ///< backs all AST nodes, facts and decoded/synthesized strings
+    FileUnit unit;
+    FileFacts facts;  ///< filled with the AST, never later
+    bool parse_failed = false;  ///< a kFatal diagnostic was recorded
+    uint64_t content_hash = 0;  ///< fnv1a64 of the source text
+    uint64_t text_bytes = 0;    ///< source text size
+    uint64_t ast_nodes = 0;     ///< AST nodes built for this file
+};
+
+/// Stable content hash of one file's text; the key of every file-level
+/// entry in the incremental service's cache.
+uint64_t content_hash(std::string_view text) noexcept;
+
 class Project {
 public:
     /// CPU cost of model construction, split by stage. parse_all() adds to
-    /// these; lex covers tokenization, parse covers tree building plus
-    /// declaration indexing. Files injected via add_parsed() cost neither.
+    /// these; lex covers tokenization, parse covers tree building, the facts
+    /// walk and building the tables. Files injected via add_parsed() cost
+    /// neither.
     struct BuildStats {
         double lex_cpu_seconds = 0;
         double parse_cpu_seconds = 0;
@@ -90,19 +123,19 @@ public:
     /// relative to add_file() calls; call parse_all() afterwards to index it.
     void add_parsed(std::shared_ptr<const ParsedFile> file);
 
-    /// Parses every registered file and builds the declaration tables.
+    /// Parses every pending file, then builds the declaration tables from
+    /// every file's facts in registration order.
     void parse_all(DiagnosticSink& sink);
 
     /// Parses `text` as a replacement for the existing file `file_name` and
     /// returns a project equal to the one add_file()+parse_all() would build
-    /// over the patched file set — same files, same declaration tables in
-    /// the same declaration order, same called-name sets — without re-lexing
-    /// or re-walking any unchanged file. Every other ParsedFile is shared
-    /// with this project (both pin them by shared_ptr, so neither project's
-    /// lifetime depends on the other's). This is the model-construction fast
-    /// path of batch quickfix verification (validate/): a single-file patch
-    /// re-parses one file instead of re-indexing the whole plugin. Returns
-    /// nullopt when `file_name` names no file of this project.
+    /// over the patched file set: the same files with one slot swapped, the
+    /// tables rebuilt from the files' facts. No unchanged file is re-lexed
+    /// or re-walked. Every other ParsedFile is shared with this project
+    /// (both pin them by shared_ptr, so neither project's lifetime depends
+    /// on the other's). This is the model-construction fast path of batch
+    /// quickfix verification (validate/). Returns nullopt when `file_name`
+    /// names no file of this project, or the project has unparsed files.
     std::optional<Project> fork_with_replacement(std::string_view file_name,
                                                  std::string text,
                                                  DiagnosticSink& sink) const;
@@ -145,25 +178,30 @@ public:
     }
 
     /// Rendering of every declaration the named file contributes (classes,
-    /// then functions/methods), in declaration order. Two projects agreeing
-    /// on a file's declaration fingerprint resolve every name outside that
-    /// file identically — the soundness gate for reusing function summaries
-    /// across a single-file patch (validate/).
+    /// then functions/methods, read from its facts), in declaration order.
+    /// Two projects agreeing on a file's declaration fingerprint resolve
+    /// every name outside that file identically — the soundness gate for
+    /// reusing function summaries across a single-file patch (validate/).
     std::string declaration_fingerprint(std::string_view file) const;
 
-    /// Names of free functions called anywhere in plugin code (lowercased).
-    const std::set<std::string>& called_function_names() const noexcept {
+    /// Names of free functions called anywhere in plugin code (folded,
+    /// sorted, de-duplicated; views into the files' arenas).
+    const std::vector<std::string_view>& called_function_names() const noexcept {
         return called_functions_;
     }
 
-    /// "class::method" pairs called anywhere in plugin code (lowercased).
-    const std::set<std::string>& called_method_names() const noexcept {
+    /// "class::method" / "::method" keys called anywhere in plugin code
+    /// (folded, sorted, de-duplicated).
+    const std::vector<std::string_view>& called_method_names() const noexcept {
         return called_methods_;
     }
 
     /// Functions and methods never called from plugin code (paper §III.C:
-    /// these must still be analyzed — the CMS may call them directly).
-    std::vector<FunctionRef> uncalled_functions() const;
+    /// these must still be analyzed — the CMS may call them directly), in
+    /// declaration order. Computed once per table build.
+    const std::vector<FunctionRef>& uncalled_functions() const noexcept {
+        return uncalled_;
+    }
 
     /// Resolves an include path literal (FileIndex::resolve, the rules the
     /// project graph's include edges use too): exact name, then a suffix on
@@ -174,29 +212,21 @@ public:
     }
 
 private:
-    void index_statements(const ArenaVector<StmtPtr>& stmts, const std::string& file);
-    void record_calls_expr(const Expr& e);
-    void record_calls_stmt(const Stmt& s);
-    /// Lexes + parses one file into an immutable ParsedFile (the body of the
-    /// parse_all() pending loop, shared with fork_with_replacement()).
+    /// Lexes + parses one file into an immutable ParsedFile and walks its
+    /// AST once for the FileFacts (the body of the parse_all() pending
+    /// loop, shared with fork_with_replacement()).
     static std::shared_ptr<const ParsedFile> parse_file(std::string name,
                                                         std::string text,
                                                         DiagnosticSink& sink,
                                                         double& lex_seconds);
-    /// Rebuilds the merged called-name sets from the per-file sets.
-    void merge_calls();
-    /// Rebuilds file_index_ over files_ — eagerly, because worker threads
-    /// read one Project concurrently.
-    void index_files();
+    /// Rebuilds every table over files_ by appending each file's facts in
+    /// registration order (first declaration wins), plus the file index and
+    /// the uncalled list — eagerly, because worker threads read one Project
+    /// concurrently.
+    void index();
     const ParsedFile* at(FileIndex::Id id) const {
         return id == FileIndex::kNone ? nullptr : files_[id].get();
     }
-    /// Folds `name` into the reused scratch key and records it; allocates
-    /// only the first time a given name is seen (call sites vastly outnumber
-    /// unique callees, so the hot path stays allocation-free).
-    void note_called_function(std::string_view name);
-    /// Records "class::method" (or "::method" when the class is unknown).
-    void note_called_method(std::string_view class_name, std::string_view method);
 
     std::string name_;
     /// Files in registration order. Slots for add_file() entries stay null
@@ -234,24 +264,9 @@ private:
     };
     std::map<MethodKey, FunctionRef, MethodKeyLess> methods_;
     std::vector<FunctionRef> function_list_;
-    /// Every class declaration in declaration order with its declaring
-    /// file's stable unit.file_name. Like function_list_, this keeps full
-    /// provenance (the maps above drop duplicate declarations), so
-    /// fork_with_replacement() can rebuild the class tables exactly.
-    std::vector<std::pair<const ClassDecl*, const std::string*>> class_list_;
-    std::set<std::string> called_functions_;
-    std::set<std::string> called_methods_;  ///< "class::method" or "::method"
-    /// Per-file contribution to the called-name sets, parallel to files_.
-    /// parse_all() fills it and merges into the global sets; recording
-    /// provenance is what lets fork_with_replacement() subtract exactly the
-    /// replaced file's calls without re-walking every other file's AST.
-    struct FileCalls {
-        std::set<std::string> functions;
-        std::set<std::string> methods;
-    };
-    std::vector<FileCalls> file_calls_;
-    FileCalls* current_calls_ = nullptr;  ///< target of note_called_* during indexing
-    std::string call_key_;  ///< scratch buffer for note_called_* key folding
+    std::vector<std::string_view> called_functions_;
+    std::vector<std::string_view> called_methods_;
+    std::vector<FunctionRef> uncalled_;
     BuildStats build_stats_;
 };
 

@@ -353,16 +353,11 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         }
         response.files_reused = project.build_stats().files_reused;
 
-        std::map<std::string, uint64_t, std::less<>> file_hashes;
-        for (const auto& parsed : project.files())
-            if (parsed) file_hashes[parsed->source->name()] = parsed->content_hash;
-
         // Summary seeding: sound only for presets that pre-summarize every
         // declared function ("pixy" skips uncalled functions, so its stage
         // order — and therefore summary purity — is call-driven; it gets
         // AST and result caching only).
-        const bool summary_reuse = options_.reuse_summaries &&
-                                   options.hermetic_summaries &&
+        const bool summary_reuse = options.hermetic_summaries &&
                                    options.analyze_uncalled_functions;
         std::map<std::string, const SummaryArtifact*> seeds;
         std::vector<std::shared_ptr<const SummaryArtifact>> pins;
@@ -379,10 +374,8 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                 // Duplicate declarations: the project tables keep the first
                 // one, so only it may be seeded.
                 if (seeds.count(key)) continue;
-                const auto declaring = file_hashes.find(ref.file);
-                if (declaring == file_hashes.end()) continue;
-                auto artifact =
-                    cache_.find_summary(preset_fp, key, declaring->second);
+                auto artifact = cache_.find_summary(
+                    preset_fp, key, project.file_named(ref.file)->content_hash);
                 if (!artifact) continue;
                 if (!dep_memo.validate(*artifact)) {
                     cache_.note_invalidation();
@@ -415,30 +408,32 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         // Admit this run's reusable summaries, pinning each kFile dep to
         // the content hash it was computed against.
         if (summary_reuse) {
-            std::map<std::string, const std::string_view*> declaring_file;
-            for (const php::FunctionRef& ref : project.all_functions()) {
-                if (!ref.decl) continue;
-                declaring_file.emplace(ascii_lower(ref.qualified_name()),
-                                       &ref.file);
-            }
             for (auto& [key, artifact] : capture) {
                 if (!artifact.reusable) continue;
-                const auto owner = declaring_file.find(key);
-                if (owner == declaring_file.end()) continue;
-                const auto owner_hash = file_hashes.find(*owner->second);
-                if (owner_hash == file_hashes.end()) continue;
+                // The declaration the key names (the first one, as when
+                // seeding); entry-file keys and inherited lookups name none.
+                const std::string_view name = key;
+                const size_t sep = name.find("::");
+                const php::FunctionRef* owner =
+                    sep == std::string_view::npos
+                        ? project.find_function(name)
+                        : project.find_method(name.substr(0, sep),
+                                              name.substr(sep + 2));
+                if (!owner || !iequals(owner->qualified_name(), key)) continue;
                 bool hashes_ok = true;
                 for (SummaryDep& dep : artifact.deps) {
                     if (dep.kind != SummaryDep::Kind::kFile) continue;
-                    const auto file_hash = file_hashes.find(dep.name);
-                    if (file_hash == file_hashes.end()) {
+                    const php::ParsedFile* file = project.file_named(dep.name);
+                    if (!file) {
                         hashes_ok = false;
                         break;
                     }
-                    dep.hash = file_hash->second;
+                    dep.hash = file->content_hash;
                 }
                 if (!hashes_ok) continue;
-                cache_.insert_summary(preset_fp, key, owner_hash->second,
+                const uint64_t owner_hash =
+                    project.file_named(owner->file)->content_hash;
+                cache_.insert_summary(preset_fp, key, owner_hash,
                                       std::move(artifact));
             }
         }

@@ -60,9 +60,9 @@ struct ServiceOptions {
     /// hardware concurrency, via WorkerPool::resolve_parallelism).
     int workers = 0;
     CacheBudgets budgets;
-    /// Master switches for the summary and result pools (the file pool is
-    /// always on — AST reuse is unconditionally sound).
-    bool reuse_summaries = true;
+    /// Master switch for the result pool. The file pool is always on (AST
+    /// reuse is unconditionally sound); summary reuse follows the preset
+    /// (hermetic summaries over every declared function).
     bool reuse_results = true;
     /// Admission control: submit() rejects once this many scans are queued
     /// and not yet started. 0 = unbounded (library default; the NDJSON

@@ -47,25 +47,22 @@ void WatchSession::refresh_state() {
     for (auto& [name, state] : files_) {
         if (!state.parsed) {
             state.parsed = service_.cache().find_file(name, state.hash);
-            if (!state.parsed && !state.text.empty())
-                state.parsed = parse_standalone(name, state.text);
-            state.dirty = true;
-        }
-        if (state.dirty && state.parsed) {
-            graph::FileFacts fresh = graph::extract_file_facts(*state.parsed);
-            if (!relink && !graph::structure_equals(fresh, state.facts))
-                relink = true;
-            state.facts = std::move(fresh);
-            state.dirty = false;
+            if (!state.parsed) state.parsed = parse_standalone(name, state.text);
             state.text.clear();  // the pinned AST retains the source
+        }
+        if (state.linked != state.parsed) {
+            if (!relink && !(state.linked && graph::structure_equals(
+                                                 *state.parsed, *state.linked)))
+                relink = true;
+            state.linked = state.parsed;
         }
     }
     if (relink) {
-        std::vector<graph::FileFacts> facts;
-        facts.reserve(files_.size());
-        for (const auto& [name, state] : files_) facts.push_back(state.facts);
+        std::vector<std::shared_ptr<const php::ParsedFile>> parsed;
+        parsed.reserve(files_.size());
+        for (const auto& [name, state] : files_) parsed.push_back(state.parsed);
         graph_ = std::make_unique<graph::ProjectGraph>(
-            graph::ProjectGraph::build(std::move(facts)));
+            graph::ProjectGraph::build(parsed));
         ++obs::tls().graph_builds;
     } else {
         // Structure-preserving edit (comments, whitespace, bodies): every
@@ -73,7 +70,7 @@ void WatchSession::refresh_state() {
         for (const auto& [name, state] : files_) {
             const auto id = graph_->file_id(name);
             if (id != graph::ProjectGraph::kNoFile)
-                graph_->set_file_hash(id, state.facts.content_hash);
+                graph_->set_file_hash(id, state.parsed->content_hash);
         }
     }
     graph_stale_ = false;
@@ -93,7 +90,6 @@ ScanResponse WatchSession::open(ScanRequest request) {
         state.hash = AnalysisService::spec_content_hash(spec);
         state.parsed = std::move(spec.parsed);
         state.text = std::move(spec.text);
-        state.dirty = true;
         files_.insert_or_assign(std::move(spec.name), std::move(state));
     }
 
@@ -163,12 +159,10 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
 
     // Apply the batch.
     for (const SourceFileSpec& spec : batch.upserts) {
-        FileState state;
+        FileState& state = files_[spec.name];  // keeps `linked`
         state.hash = AnalysisService::spec_content_hash(spec);
         state.parsed = spec.parsed;
         state.text = spec.text;
-        state.dirty = true;
-        files_.insert_or_assign(spec.name, std::move(state));
     }
     for (const std::string& name : batch.removals) files_.erase(name);
     if (new_files > 0 || !batch.removals.empty()) graph_stale_ = true;

@@ -9,9 +9,9 @@
 //   - every file's content hash and a pinned shared_ptr to its immutable
 //     parsed AST (re-pinned from the service's file pool after each scan,
 //     or re-parsed locally when the pool evicted it),
-//   - per-file graph facts and the linked ProjectGraph
-//     (graph/project_graph.h), rebuilt after each edit by re-extracting
-//     facts for the changed files only,
+//   - the linked ProjectGraph (graph/project_graph.h), read from the facts
+//     each ParsedFile got at parse time — an edit computes facts for the
+//     changed files only, by parsing them, and nothing is re-extracted,
 //   - the previous scan's findings, diffed against each new scan.
 //
 // An edit therefore submits a request whose unchanged files are pinned
@@ -109,17 +109,19 @@ private:
         uint64_t hash = 0;
         std::shared_ptr<const php::ParsedFile> parsed;  ///< pinned AST
         std::string text;  ///< kept only while `parsed` is null
-        graph::FileFacts facts;
-        bool dirty = true;  ///< facts/pin stale (new or edited)
+        /// The parse the linked graph was built from (null for a file the
+        /// graph has not seen). Differs from `parsed` only between an edit
+        /// and the refresh that compares the two parses' structure.
+        std::shared_ptr<const php::ParsedFile> linked;
     };
 
     /// The session's full file set as a scan request (files in name
     /// order — deterministic like load_directory's path sort).
     ScanRequest assemble_request() const;
-    /// Pins ASTs and re-extracts facts for dirty files, then relinks the
-    /// graph — unless every edited file kept its graph structure
-    /// (structure_equals), in which case the linked graph is reused and
-    /// only node hashes refresh. Runs after every scan.
+    /// Pins ASTs of edited files, then relinks the graph — unless every
+    /// edited file kept its graph structure (structure_equals against the
+    /// parse the graph was linked from), in which case the linked graph is
+    /// reused and only node hashes refresh. Runs after every scan.
     void refresh_state();
 
     AnalysisService& service_;

@@ -1,10 +1,12 @@
-// ProjectGraph tests: fact extraction, include/use linking, analytics
-// (hubs, orphans, cycles, dead files, vendor dirs) on hand-built graphs,
-// the dependency cone against a brute-force reverse closure, JSON
-// round-tripping, and the monorepo generator's structural ground truth.
+// ProjectGraph tests: parse-time fact extraction, include/use linking,
+// analytics (hubs, orphans, cycles, dead files, vendor dirs) on small
+// PHP trees, the dependency cone against a brute-force reverse closure,
+// JSON round-tripping, agreement with php::Project's resolution, and the
+// monorepo generator's structural ground truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,15 +15,46 @@
 #include "graph/project_graph.h"
 #include "php/project.h"
 #include "util/diagnostics.h"
+#include "util/strings.h"
 
 namespace phpsafe::graph {
 namespace {
 
-FileFacts facts(std::string name) {
-    FileFacts f;
-    f.name = std::move(name);
-    f.content_hash = 0x1234;
-    return f;
+using php::FileFacts;
+using Sources = std::vector<std::pair<std::string, std::string>>;
+
+/// A parsed project of the given (name, PHP source) files, in order.
+php::Project parse(const Sources& files) {
+    php::Project project("graph");
+    for (const auto& [name, text] : files) project.add_file(name, text);
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    return project;
+}
+
+/// The graph of the given sources.
+ProjectGraph graph_of(const Sources& files) {
+    return build_project_graph(parse(files));
+}
+
+/// The declared names of `f`, lowercased, in declaration order: free
+/// functions, "class::method"s or classes.
+std::vector<std::string> free_functions(const FileFacts& f) {
+    std::vector<std::string> out;
+    for (const php::FunctionRef& ref : f.functions)
+        if (!ref.owner) out.push_back(ascii_lower(ref.decl->name));
+    return out;
+}
+std::vector<std::string> methods(const FileFacts& f) {
+    std::vector<std::string> out;
+    for (const php::FunctionRef& ref : f.functions)
+        if (ref.owner) out.push_back(ascii_lower(ref.qualified_name()));
+    return out;
+}
+std::vector<std::string> classes(const FileFacts& f) {
+    std::vector<std::string> out;
+    for (const php::ClassDecl* cls : f.classes) out.push_back(ascii_lower(cls->name));
+    return out;
 }
 
 std::string name_of(const ProjectGraph& g, ProjectGraph::FileId id) {
@@ -37,11 +70,9 @@ std::vector<std::string> names_of(const ProjectGraph& g,
 
 /// A parsed project of empty PHP files with the given names, in order.
 php::Project empty_files(const std::vector<std::string>& names) {
-    php::Project project("names");
-    for (const std::string& name : names) project.add_file(name, "<?php");
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    return project;
+    Sources files;
+    for (const std::string& name : names) files.emplace_back(name, "<?php");
+    return parse(files);
 }
 
 /// The file the engine's include resolution picks, or "<none>".
@@ -57,20 +88,83 @@ void expect_edges_match_engine(const php::Project& project) {
     ASSERT_EQ(g.file_count(), static_cast<int>(project.files().size()));
     int edges = 0;
     for (const auto& parsed : project.files()) {
-        const FileFacts f = extract_file_facts(*parsed);
+        const std::string& name = parsed->unit.file_name;
         std::set<std::string> expected;
-        for (const std::string& path : f.include_paths)
+        for (const std::string_view path : parsed->facts.includes)
             if (const php::ParsedFile* to = project.resolve_include(path))
                 expected.insert(to->unit.file_name);
-        const auto id = g.file_id(f.name);
-        ASSERT_NE(id, ProjectGraph::kNoFile) << f.name;
+        const auto id = g.file_id(name);
+        ASSERT_NE(id, ProjectGraph::kNoFile) << name;
         const std::vector<std::string> actual = names_of(g, g.includes_of(id));
         EXPECT_EQ(std::set<std::string>(actual.begin(), actual.end()), expected)
-            << f.name;
+            << name;
         edges += static_cast<int>(actual.size());
     }
     EXPECT_EQ(edges, g.include_edge_count());
     EXPECT_GT(edges, 0);
+}
+
+bool is_self_reference(std::string_view cls) {
+    return iequals(cls, "self") || iequals(cls, "static") || iequals(cls, "parent");
+}
+
+/// Asserts that every use edge of `g` is exactly what php::Project's own
+/// tables make of the file's call keys and `extends` clauses: a called
+/// function's first declaration, every class declaring a "::method", the
+/// class of a "class::method" key, a parent class — and that the call keys
+/// are the ones the engine's uncalled-function analysis reads.
+void expect_uses_match_project(const php::Project& project) {
+    const ProjectGraph g = build_project_graph(project);
+    std::map<std::string, std::set<std::string>> method_files;
+    for (const php::FunctionRef& ref : project.all_functions())
+        if (ref.owner && !ref.owner->name.empty() && !ref.decl->name.empty())
+            method_files[ascii_lower(ref.decl->name)].insert(std::string(ref.file));
+
+    std::set<std::string_view> called_functions;
+    std::set<std::string_view> called_methods;
+    int edges = 0;
+    for (const auto& parsed : project.files()) {
+        const FileFacts& f = parsed->facts;
+        const std::string& name = parsed->unit.file_name;
+        called_functions.insert(f.called_functions.begin(), f.called_functions.end());
+        called_methods.insert(f.called_methods.begin(), f.called_methods.end());
+        std::set<std::string> expected;
+        const auto use = [&](std::string_view file) {
+            if (!file.empty() && file != name) expected.emplace(file);
+        };
+        for (const std::string_view fn : f.called_functions)
+            if (const php::FunctionRef* ref = project.find_function(fn)) use(ref->file);
+        for (const std::string_view key : f.called_methods) {
+            const size_t sep = key.find("::");
+            const std::string_view cls = key.substr(0, sep);
+            if (!cls.empty()) {
+                if (!is_self_reference(cls)) use(project.file_of_class(cls));
+                continue;
+            }
+            const auto declarers = method_files.find(std::string(key.substr(sep + 2)));
+            if (declarers == method_files.end()) continue;
+            for (const std::string& file : declarers->second) use(file);
+        }
+        for (const php::ClassDecl* cls : f.classes)
+            if (!cls->name.empty() && !cls->parent.empty() &&
+                !is_self_reference(cls->parent))
+                use(project.file_of_class(cls->parent));
+
+        const auto id = g.file_id(name);
+        ASSERT_NE(id, ProjectGraph::kNoFile) << name;
+        const std::vector<std::string> actual = names_of(g, g.uses_of(id));
+        EXPECT_EQ(std::set<std::string>(actual.begin(), actual.end()), expected)
+            << name;
+        edges += static_cast<int>(actual.size());
+    }
+    EXPECT_EQ(edges, g.use_edge_count());
+    EXPECT_GT(edges, 0);
+    EXPECT_EQ(std::vector<std::string_view>(called_functions.begin(),
+                                            called_functions.end()),
+              project.called_function_names());
+    EXPECT_EQ(std::vector<std::string_view>(called_methods.begin(),
+                                            called_methods.end()),
+              project.called_method_names());
 }
 
 TEST(FileFactsTest, ExtractsDeclarationsCallsAndIncludes) {
@@ -89,37 +183,33 @@ TEST(FileFactsTest, ExtractsDeclarationsCallsAndIncludes) {
     project.parse_all(sink);
     ASSERT_EQ(project.files().size(), 1u);
 
-    const FileFacts f = extract_file_facts(*project.files().front());
-    EXPECT_EQ(f.name, "a.php");
-    // Path order is walk order, not source order — edges get sorted anyway.
-    std::vector<std::string> paths = f.include_paths;
-    std::sort(paths.begin(), paths.end());
+    const php::ParsedFile& file = *project.files().front();
+    const FileFacts& f = file.facts;
+    EXPECT_EQ(file.unit.file_name, "a.php");
+    // Paths are sorted and de-duplicated at extraction.
+    const std::vector<std::string> paths(f.includes.begin(), f.includes.end());
     // The concat idiom keeps its trailing literal for suffix resolution.
     EXPECT_EQ(paths, (std::vector<std::string>{"/inc/c.php", "lib/b.php"}));
-    EXPECT_EQ(f.declared_functions,
-              (std::vector<std::string>{"top_level"}));
-    EXPECT_EQ(f.declared_classes, (std::vector<std::string>{"widget"}));
-    EXPECT_EQ(f.declared_methods,
-              (std::vector<std::string>{"widget::render"}));
+    EXPECT_EQ(free_functions(f), (std::vector<std::string>{"top_level"}));
+    EXPECT_EQ(classes(f), (std::vector<std::string>{"widget"}));
+    EXPECT_EQ(methods(f), (std::vector<std::string>{"widget::render"}));
     EXPECT_TRUE(std::count(f.called_functions.begin(),
                            f.called_functions.end(), "other_fn"));
     EXPECT_TRUE(std::count(f.called_methods.begin(), f.called_methods.end(),
-                           "helper"));
+                           "::helper"));
     // new + extends + static call all count as class uses.
-    EXPECT_TRUE(std::count(f.used_classes.begin(), f.used_classes.end(),
-                           "widget"));
-    EXPECT_TRUE(std::count(f.used_classes.begin(), f.used_classes.end(),
-                           "base"));
+    EXPECT_TRUE(std::count(f.called_methods.begin(), f.called_methods.end(),
+                           "widget::__construct"));
+    EXPECT_TRUE(std::count(f.called_methods.begin(), f.called_methods.end(),
+                           "widget::boot"));
+    EXPECT_EQ(ascii_lower(f.classes.front()->parent), "base");
 }
 
 TEST(ProjectGraphTest, LinksIncludeAndUseEdges) {
-    FileFacts a = facts("main.php");
-    a.include_paths = {"lib/util.php"};
-    a.called_functions = {"helper"};
-    FileFacts b = facts("lib/util.php");
-    b.declared_functions = {"helper"};
-
-    ProjectGraph g = ProjectGraph::build({a, b});
+    ProjectGraph g = graph_of({
+        {"main.php", "<?php include 'lib/util.php'; helper();"},
+        {"lib/util.php", "<?php function helper() {}"},
+    });
     ASSERT_EQ(g.file_count(), 2);
     const auto main_id = g.file_id("main.php");
     const auto util_id = g.file_id("lib/util.php");
@@ -144,11 +234,13 @@ TEST(ProjectGraphTest, LinksIncludeAndUseEdges) {
 }
 
 TEST(ProjectGraphTest, IncludeResolutionExactThenSuffixThenBasename) {
-    FileFacts a = facts("a.php");
-    a.include_paths = {"sub/x.php", "/deep/y.php", "z.php"};
-    ProjectGraph g = ProjectGraph::build(
-        {a, facts("sub/x.php"), facts("nested/deep/y.php"),
-         facts("elsewhere/z.php")});
+    ProjectGraph g = graph_of({
+        {"a.php",
+         "<?php include 'sub/x.php'; include '/deep/y.php'; include 'z.php';"},
+        {"sub/x.php", "<?php"},
+        {"nested/deep/y.php", "<?php"},
+        {"elsewhere/z.php", "<?php"},
+    });
     const auto edges = names_of(g, g.includes_of(g.file_id("a.php")));
     EXPECT_TRUE(std::count(edges.begin(), edges.end(), "sub/x.php"));
     EXPECT_TRUE(std::count(edges.begin(), edges.end(), "nested/deep/y.php"));
@@ -163,12 +255,11 @@ TEST(ProjectGraphTest, IncludeResolutionExactThenSuffixThenBasename) {
 }
 
 TEST(ProjectGraphTest, SuffixMatchRespectsSegmentBoundary) {
-    FileFacts a = facts("a.php");
-    a.include_paths = {"b.php"};
     // "ab.php" ends with "b.php" but is NOT a path-segment match; the
     // basename fallback must pick the real b.php.
-    ProjectGraph g = ProjectGraph::build({a, facts("ab.php"),
-                                          facts("lib/b.php")});
+    ProjectGraph g = graph_of({{"a.php", "<?php include 'b.php';"},
+                               {"ab.php", "<?php"},
+                               {"lib/b.php", "<?php"}});
     const auto edges = names_of(g, g.includes_of(g.file_id("a.php")));
     EXPECT_EQ(edges, (std::vector<std::string>{"lib/b.php"}));
 
@@ -179,19 +270,15 @@ TEST(ProjectGraphTest, SuffixMatchRespectsSegmentBoundary) {
 }
 
 TEST(ProjectGraphTest, AnalyticsHubsOrphansDeadVendor) {
-    FileFacts hub = facts("vendor/core.php");
-    hub.declared_functions = {"core_fn"};
-    FileFacts m1 = facts("one/main.php");
-    m1.include_paths = {"vendor/core.php"};
-    FileFacts m2 = facts("two/main.php");
-    m2.include_paths = {"vendor/core.php"};
-    FileFacts orphan = facts("one/unused/extra.php");
-    FileFacts entry = facts("three/main.php");  // entry basename: not orphan
-    FileFacts dead = facts("one/main.php.bak");
-    FileFacts top = facts("index.php");  // top-level: not an orphan
-
-    ProjectGraph g = ProjectGraph::build(
-        {hub, m1, m2, orphan, entry, dead, top});
+    ProjectGraph g = graph_of({
+        {"vendor/core.php", "<?php function core_fn() {}"},
+        {"one/main.php", "<?php include 'vendor/core.php';"},
+        {"two/main.php", "<?php include 'vendor/core.php';"},
+        {"one/unused/extra.php", "<?php"},
+        {"three/main.php", "<?php"},  // entry basename: not orphan
+        {"one/main.php.bak", "<?php"},
+        {"index.php", "<?php"},  // top-level: not an orphan
+    });
     const ProjectGraph::Analytics a = g.analyze();
 
     ASSERT_FALSE(a.hubs.empty());
@@ -206,18 +293,13 @@ TEST(ProjectGraphTest, AnalyticsHubsOrphansDeadVendor) {
 }
 
 TEST(ProjectGraphTest, TarjanFindsCyclesAndSelfLoops) {
-    FileFacts a = facts("cyc/a.php");
-    a.include_paths = {"cyc/b.php"};
-    FileFacts b = facts("cyc/b.php");
-    b.include_paths = {"cyc/c.php"};
-    FileFacts c = facts("cyc/c.php");
-    c.include_paths = {"cyc/a.php"};
-    FileFacts self = facts("self.php");
-    self.include_paths = {"self.php"};
-    FileFacts line = facts("straight.php");
-    line.include_paths = {"cyc/a.php"};
-
-    ProjectGraph g = ProjectGraph::build({a, b, c, self, line});
+    ProjectGraph g = graph_of({
+        {"cyc/a.php", "<?php include 'cyc/b.php';"},
+        {"cyc/b.php", "<?php include 'cyc/c.php';"},
+        {"cyc/c.php", "<?php include 'cyc/a.php';"},
+        {"self.php", "<?php include 'self.php';"},
+        {"straight.php", "<?php include 'cyc/a.php';"},
+    });
     const ProjectGraph::Analytics out = g.analyze();
     ASSERT_EQ(out.cycles.size(), 2u);
     EXPECT_EQ(names_of(g, out.cycles[0]),
@@ -229,15 +311,15 @@ TEST(ProjectGraphTest, TarjanFindsCyclesAndSelfLoops) {
 
 TEST(ProjectGraphTest, DeepChainDoesNotOverflow) {
     // 20k-deep include chain: the iterative Tarjan must not recurse.
-    std::vector<FileFacts> chain;
+    Sources chain;
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
-        FileFacts f = facts("chain/f" + std::to_string(i) + ".php");
+        std::string text = "<?php";
         if (i + 1 < n)
-            f.include_paths = {"chain/f" + std::to_string(i + 1) + ".php"};
-        chain.push_back(std::move(f));
+            text += " include 'chain/f" + std::to_string(i + 1) + ".php';";
+        chain.emplace_back("chain/f" + std::to_string(i) + ".php", std::move(text));
     }
-    ProjectGraph g = ProjectGraph::build(std::move(chain));
+    ProjectGraph g = graph_of(chain);
     EXPECT_TRUE(g.analyze().cycles.empty());
     EXPECT_EQ(static_cast<int>(g.dependency_cone({g.file_id(
                   "chain/f" + std::to_string(n - 1) + ".php")}).size()),
@@ -270,15 +352,15 @@ std::vector<ProjectGraph::FileId> brute_force_cone(
 
 TEST(ProjectGraphTest, ConeMatchesBruteForceClosure) {
     // A messy little graph: chains, a diamond, a cycle, an island.
-    std::vector<FileFacts> all;
+    Sources all;
     auto mk = [&](const char* name, std::vector<std::string> inc,
                   std::vector<std::string> calls,
                   std::vector<std::string> decls) {
-        FileFacts f = facts(name);
-        f.include_paths = std::move(inc);
-        f.called_functions = std::move(calls);
-        f.declared_functions = std::move(decls);
-        all.push_back(std::move(f));
+        std::string text = "<?php\n";
+        for (const std::string& path : inc) text += "include '" + path + "';\n";
+        for (const std::string& fn : calls) text += fn + "();\n";
+        for (const std::string& fn : decls) text += "function " + fn + "() {}\n";
+        all.emplace_back(name, std::move(text));
     };
     mk("a.php", {"b.php", "c.php"}, {}, {});
     mk("b.php", {"d.php"}, {"util"}, {});
@@ -288,7 +370,7 @@ TEST(ProjectGraphTest, ConeMatchesBruteForceClosure) {
     mk("f.php", {"e.php"}, {}, {});
     mk("island.php", {}, {}, {});
 
-    ProjectGraph g = ProjectGraph::build(all);
+    ProjectGraph g = graph_of(all);
     for (int i = 0; i < g.file_count(); ++i) {
         const std::vector<ProjectGraph::FileId> changed = {
             static_cast<ProjectGraph::FileId>(i)};
@@ -302,15 +384,14 @@ TEST(ProjectGraphTest, ConeMatchesBruteForceClosure) {
 }
 
 TEST(ProjectGraphTest, JsonRoundTripIsExact) {
-    FileFacts a = facts("main.php");
-    a.include_paths = {"lib/util.php"};
-    a.called_functions = {"helper"};
-    a.parse_failed = true;
-    FileFacts b = facts("lib/util.php");
-    b.content_hash = 0xdeadbeefcafef00dULL;
-    b.declared_functions = {"helper", "other"};
-
-    const ProjectGraph g = ProjectGraph::build({a, b});
+    // 250+ parse errors fail main.php after its include and call parsed.
+    std::string failing = "<?php include 'lib/util.php'; helper(); ";
+    for (int i = 0; i < 300; ++i) failing += "^^ ";
+    ProjectGraph g = graph_of({
+        {"main.php", failing},
+        {"lib/util.php", "<?php function helper() {} function other() {}"},
+    });
+    g.set_file_hash(g.file_id("lib/util.php"), 0xdeadbeefcafef00dULL);
     const std::string json = g.to_json();
 
     ProjectGraph parsed;
@@ -336,6 +417,24 @@ TEST(ProjectGraphTest, FromJsonRejectsMalformedInput) {
         R"({"files":[{"name":"a.php","hash":"0000000000000000","failed":false}],)"
         R"("functions":[],"includes":[[0,7]],"uses":[]})",
         g, &error));
+}
+
+TEST(ProjectGraphTest, CallbackRegistrationIsAUse) {
+    // A handler registered by literal name is called (the engine's
+    // uncalled-function analysis counts it), so the registering file uses
+    // the declaring file even though nothing includes it.
+    const ProjectGraph g = graph_of({
+        {"a.php", "<?php add_action('init', 'h');"},
+        {"inc/h.php", "<?php function h() {}"},
+    });
+    const auto a = g.file_id("a.php");
+    const auto h = g.file_id("inc/h.php");
+    EXPECT_EQ(g.uses_of(a), (std::vector<ProjectGraph::FileId>{h}));
+    EXPECT_EQ(g.used_by(h), (std::vector<ProjectGraph::FileId>{a}));
+    const std::vector<std::string> orphans = names_of(g, g.analyze().orphans);
+    EXPECT_FALSE(std::count(orphans.begin(), orphans.end(), "inc/h.php"));
+    const auto cone = g.dependency_cone({h});
+    EXPECT_TRUE(std::count(cone.begin(), cone.end(), a));
 }
 
 TEST(ProjectGraphTest, BuildFromParsedProject) {
@@ -376,6 +475,29 @@ TEST(MonorepoTest, IncludeEdgesAgreeWithEngineResolution) {
     ASSERT_FALSE(corpus.plugins.empty());
     const corpus::GeneratedPlugin& plugin = corpus.plugins.front();
     expect_edges_match_engine(corpus::build_project(plugin, plugin.v2014, sink));
+}
+
+TEST(MonorepoTest, UseEdgesAgreeWithProjectCalls) {
+    // The graph's use edges and the engine's uncalled-function analysis
+    // read the same parse-time call keys; this pins that the graph links
+    // them the way php::Project's tables resolve them.
+    const corpus::MonorepoSource repo = corpus::generate_monorepo({1.0, 40, 2015});
+    php::Project monorepo("monorepo");
+    for (const auto& [name, text] : repo.files) monorepo.add_file(name, text);
+    DiagnosticSink sink;
+    monorepo.parse_all(sink);
+    expect_uses_match_project(monorepo);
+
+    corpus::CorpusOptions options;
+    options.num_plugins = 2;
+    options.num_oop_plugins = 1;
+    options.scale = 0.25;
+    options.filler_lines_2012 = 2000;
+    options.filler_lines_2014 = 4000;
+    const corpus::Corpus corpus = corpus::generate_corpus(options);
+    ASSERT_FALSE(corpus.plugins.empty());
+    const corpus::GeneratedPlugin& plugin = corpus.plugins.front();
+    expect_uses_match_project(corpus::build_project(plugin, plugin.v2014, sink));
 }
 
 TEST(MonorepoTest, DeterministicAndScaled) {

@@ -120,6 +120,15 @@ TEST(ValidateTest, SignatureCoversTiersAndFixes) {
     EXPECT_EQ(sig.find("seconds"), std::string::npos);
 }
 
+/// Every declaration of `project` in declaration order, as
+/// "qualified_name@file".
+std::vector<std::string> declaration_sequence(const php::Project& project) {
+    std::vector<std::string> out;
+    for (const php::FunctionRef& ref : project.all_functions())
+        out.push_back(ref.qualified_name() + "@" + std::string(ref.file));
+    return out;
+}
+
 TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     php::Project original("fork");
     const std::string lib =
@@ -154,6 +163,7 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     EXPECT_EQ(fork->called_function_names(), rebuilt.called_function_names());
     EXPECT_EQ(fork->called_method_names(), rebuilt.called_method_names());
     EXPECT_EQ(fork->all_functions().size(), rebuilt.all_functions().size());
+    EXPECT_EQ(declaration_sequence(*fork), declaration_sequence(rebuilt));
     ASSERT_NE(fork->find_function("fmt"), nullptr);
     ASSERT_NE(fork->find_class("Page"), nullptr);
 
@@ -164,6 +174,69 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     ASSERT_EQ(a.findings.size(), b.findings.size());
     for (size_t i = 0; i < a.findings.size(); ++i)
         EXPECT_EQ(to_string(a.findings[i]), to_string(b.findings[i]));
+
+    // Duplicate declarations before and after the replaced slot: the
+    // fork's tables must pick the same first-declaration winners, in the
+    // same declaration order, as a full rebuild of the patched file set.
+    const std::string before =
+        "<?php function shared() {} class Before { function m() {} }\n";
+    const std::string after =
+        "<?php function shared() {} function fresh() {}\n"
+        "class After { function m() {} } class Before { function n() {} }\n";
+    const std::string patched =
+        "<?php function fresh() {} function shared() {}\n"
+        "class After { function k() {} } class Before { function m() {} }\n";
+    php::Project dups("dups");
+    dups.add_file("a.php", before);
+    dups.add_file("b.php", "<?php function mid() {}\n");
+    dups.add_file("c.php", after);
+    dups.parse_all(sink);
+
+    const std::optional<php::Project> dup_fork =
+        dups.fork_with_replacement("b.php", patched, fork_sink);
+    ASSERT_TRUE(dup_fork.has_value());
+    php::Project dup_rebuilt("dups");
+    dup_rebuilt.add_file("a.php", before);
+    dup_rebuilt.add_file("b.php", patched);
+    dup_rebuilt.add_file("c.php", after);
+    dup_rebuilt.parse_all(rebuilt_sink);
+
+    EXPECT_EQ(declaration_sequence(*dup_fork),
+              declaration_sequence(dup_rebuilt));
+    const auto file_of = [](const php::FunctionRef* ref) {
+        return ref ? std::string(ref->file) : std::string("<none>");
+    };
+    for (const char* fn : {"shared", "fresh", "mid"})
+        EXPECT_EQ(file_of(dup_fork->find_function(fn)),
+                  file_of(dup_rebuilt.find_function(fn)))
+            << fn;
+    EXPECT_EQ(dup_fork->find_function("shared")->file, "a.php");
+    EXPECT_EQ(dup_fork->find_function("fresh")->file, "b.php");
+    EXPECT_EQ(dup_fork->find_function("mid"), nullptr);
+    for (const char* cls : {"Before", "After"}) {
+        ASSERT_NE(dup_fork->find_class(cls), nullptr) << cls;
+        EXPECT_EQ(dup_fork->file_of_class(cls), dup_rebuilt.file_of_class(cls))
+            << cls;
+        EXPECT_EQ(dup_fork->find_class(cls)->methods.front()->name,
+                  dup_rebuilt.find_class(cls)->methods.front()->name)
+            << cls;
+    }
+    EXPECT_EQ(dup_fork->file_of_class("Before"), "a.php");
+    EXPECT_EQ(dup_fork->file_of_class("After"), "b.php");
+    for (const auto& [cls, method] : {std::pair{"Before", "m"},
+                                      {"Before", "n"},
+                                      {"After", "m"},
+                                      {"After", "k"}})
+        EXPECT_EQ(file_of(dup_fork->find_method(cls, method)),
+                  file_of(dup_rebuilt.find_method(cls, method)))
+            << cls << "::" << method;
+    EXPECT_EQ(dup_fork->find_method("Before", "m")->file, "a.php");
+    EXPECT_EQ(dup_fork->called_function_names(),
+              dup_rebuilt.called_function_names());
+    EXPECT_EQ(dup_fork->called_method_names(),
+              dup_rebuilt.called_method_names());
+    EXPECT_EQ(declaration_sequence(*dup_fork).size(),
+              dup_fork->uncalled_functions().size());
 }
 
 TEST(ValidateTest, ForkTracksDeclarationChanges) {
@@ -186,7 +259,8 @@ TEST(ValidateTest, ForkTracksDeclarationChanges) {
     ASSERT_NE(fork->find_function("added"), nullptr);
     EXPECT_EQ(fork->find_function("added")->file, "a.php");
     EXPECT_EQ(original.find_function("added"), nullptr);
-    EXPECT_TRUE(fork->called_function_names().count("added"));
+    EXPECT_TRUE(std::count(fork->called_function_names().begin(),
+                           fork->called_function_names().end(), "added"));
 
     // Unknown files refuse to fork.
     DiagnosticSink missing_sink;
