@@ -313,6 +313,9 @@ void Engine::note_dep(SummaryDep::Kind kind, std::string_view name,
     dep.kind = kind;
     dep.name.assign(name);
     dep.file.assign(file);
+    if (kind == SummaryDep::Kind::kFile)
+        if (const php::ParsedFile* read = project_->file_named(name))
+            dep.hash = read->content_hash;
     capture_stack_.back().artifact.deps.push_back(std::move(dep));
 }
 
@@ -371,7 +374,6 @@ void Engine::note_shared_write(Symbol name, bool strong) {
 
 bool Engine::apply_summary_seed(const std::string& key, FunctionSummary& slot) {
     if (!exchange_.seeds) return false;
-    if (exchange_.seed_block && exchange_.seed_block->count(key)) return false;
     const auto it = exchange_.seeds->find(key);
     if (it == exchange_.seeds->end()) return false;
     const SummaryArtifact* artifact = it->second;
@@ -402,7 +404,6 @@ bool Engine::apply_summary_seed(const std::string& key, FunctionSummary& slot) {
 
 bool Engine::apply_entry_seed(const std::string& key) {
     if (!exchange_.seeds) return false;
-    if (exchange_.seed_block && exchange_.seed_block->count(key)) return false;
     const auto it = exchange_.seeds->find(key);
     if (it == exchange_.seeds->end()) return false;
     const SummaryArtifact* artifact = it->second;
@@ -1492,8 +1493,11 @@ TaintValue Engine::eval_new(const php::New& expr, Scope& scope) {
     if (options_.track_object_types) out.object_class = cls;
 
     const php::ClassDecl* decl = project_->find_class(cls);
-    note_dep(SummaryDep::Kind::kClass, cls,
-             decl ? project_->file_of_class(cls) : std::string());
+    const std::string_view decl_file =
+        decl ? std::string_view(project_->file_of_class(cls)) : std::string_view();
+    note_dep(SummaryDep::Kind::kClass, cls, decl_file);
+    // Construction reads the declaration (its property defaults) too.
+    if (decl) note_dep(SummaryDep::Kind::kFile, decl_file, decl_file);
     // A property default can itself `new` this class (directly or through a
     // cycle of classes); evaluating defaults re-entrantly would never
     // terminate, so construction of a class already being constructed skips
@@ -1864,6 +1868,9 @@ TaintValue Engine::finish_include(const php::IncludeExpr& inc, Scope& scope) {
     if (!hint.empty())
         note_dep(SummaryDep::Kind::kInclude, hint,
                  resolved ? resolved->source->name() : std::string());
+    if (resolved)
+        note_dep(SummaryDep::Kind::kFile, resolved->source->name(),
+                 resolved->source->name());
     if (!resolved || resolved->parse_failed) return TaintValue::clean();
     ++obs::tls().includes_resolved;
     // From here on the include interacts with run-wide include state
@@ -1872,8 +1879,8 @@ TaintValue Engine::finish_include(const php::IncludeExpr& inc, Scope& scope) {
     // summarized body can reproduce. An entry-file frame, by contrast, owns
     // the include state (reset per entry) and captures the included file's
     // effects — its findings land in the frame, its global writes are
-    // tracked, and the kInclude dep above pins the content — so it stays
-    // reusable.
+    // tracked, and the kInclude and kFile deps above pin the resolution and
+    // the content — so it stays reusable.
     for (CaptureFrame& frame : capture_stack_)
         if (!frame.entry) frame.reusable = false;
 

@@ -235,6 +235,8 @@ private:
     // -- cross-run summary capture ---------------------------------------------
     /// Records a project observation on every active capture (no-op when the
     /// capture stack is empty — the default-mode cost is one empty() check).
+    /// A kFile observation carries the file's current content hash, so every
+    /// captured record is complete for DepCheckMemo.
     void note_dep(SummaryDep::Kind kind, std::string_view name,
                   std::string_view file);
     /// Marks every active capture non-reusable: the summarization touched

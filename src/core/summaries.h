@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/knowledge.h"
@@ -20,6 +20,10 @@
 #include "util/source.h"
 
 namespace phpsafe {
+
+namespace php {
+class Project;
+}
 
 /// A sink inside a summarized function reachable from a parameter.
 struct ParamSinkFlow {
@@ -67,10 +71,11 @@ struct FunctionSummary {
 
 /// One thing a summary's computation observed about the project. Reusing the
 /// summary in a later run is sound only while every observation still holds;
-/// the service re-checks them against the new project before seeding.
+/// DepCheckMemo re-checks them against the new project before seeding.
 struct SummaryDep {
     enum class Kind {
-        kFile,       ///< read this file's content (body, callee, include)
+        kFile,       ///< read this file's content (body, callee, include,
+                     ///< constructed class)
         kFunction,   ///< resolved a free-function name (file empty: unresolved)
         kMethod,     ///< resolved "class::method" (file empty: unresolved)
         kMethodAny,  ///< resolved a method by unique name across classes
@@ -80,9 +85,9 @@ struct SummaryDep {
     Kind kind = Kind::kFile;
     std::string name;  ///< lowercased symbol / path / file name
     std::string file;  ///< file the name resolved to; empty when unresolved
-    /// For kFile deps: content hash of the file at capture time. The engine
-    /// leaves it 0 (it would cost a linear file lookup per summary); the
-    /// service fills it from the scanned project before caching.
+    /// For kFile deps: content hash of the file at capture time, written by
+    /// the engine from the project's file index (0 for a name the project
+    /// does not hold, which never validates).
     uint64_t hash = 0;
 
     friend bool operator<(const SummaryDep& a, const SummaryDep& b) {
@@ -132,18 +137,41 @@ struct SummaryArtifact {
 };
 
 /// Seeds and captures for one engine run. `seeds` maps lowercased qualified
-/// names to validated artifacts installed instead of analyzing the body;
-/// `capture` (when set) receives an artifact for every summary the run
-/// computes context-free. Both require AnalysisOptions::hermetic_summaries.
+/// names to artifacts installed instead of analyzing the body; callers admit
+/// only artifacts a DepCheckMemo over the run's project accepts. `capture`
+/// (when set) receives an artifact, with a complete dependency record, for
+/// every summary the run computes context-free. Both require
+/// AnalysisOptions::hermetic_summaries.
 struct SummaryExchange {
     const std::map<std::string, const SummaryArtifact*>* seeds = nullptr;
-    /// Keys in `seeds` to ignore this run, checked before either seed kind
-    /// applies. Lets a caller build one immutable seed map and share it
-    /// across many rescans, supplying only each rescan's invalidation set
-    /// (batch fix verification blocks the artifacts whose computation read
-    /// the patched file this way, without rebuilding the map per fix).
-    const std::set<std::string>* seed_block = nullptr;
     std::map<std::string, SummaryArtifact>* capture = nullptr;
+};
+
+/// The one summary-reuse gate, for the service's cross-scan seeding and
+/// quickfix verification alike: checks a SummaryArtifact's recorded
+/// dependencies against the project a seeded run would analyze. kFile deps
+/// compare their recorded content hash, resolution deps re-resolve to the
+/// same file; a false result means seeding the artifact would be unsound. File deps are answered by the
+/// project's file index. Every other distinct (kind, name) is resolved
+/// against the project once per memo, and every later artifact whose
+/// dependency list mentions the same name is answered from the memo — the
+/// cache_dep_walk_* obs counters record this (cache_dep_walks lists
+/// walked, cache_dep_walk_steps project lookups performed,
+/// cache_dep_walk_memo_hits records answered without one). Not
+/// thread-safe; one memo per project and thread.
+class DepCheckMemo {
+public:
+    explicit DepCheckMemo(const php::Project& project) : project_(project) {}
+
+    /// True when every dependency recorded by `artifact` still holds.
+    bool validate(const SummaryArtifact& artifact);
+
+private:
+    const php::Project& project_;
+    /// (dep kind, name) → the file the name currently resolves to; ""
+    /// when unresolved, so a dependency that was unresolved when recorded
+    /// and still is validates.
+    std::map<std::pair<int, std::string>, std::string> resolutions_;
 };
 
 /// Keyed map of summaries ("function" or "class::method", lowercased).

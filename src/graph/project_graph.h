@@ -1,8 +1,8 @@
 // ProjectGraph: an explicit, queryable program graph for one scan request.
 // The include/call relationships phpSAFE relies on exist implicitly — as
 // resolution tables inside php::Project and as dependency records checked
-// by service::DepCheckMemo::validate. This subsystem materializes them once
-// per scan into a dense graph artifact:
+// by DepCheckMemo::validate (core/summaries.h). This subsystem materializes
+// them once per scan into a dense graph artifact:
 //
 //   nodes  - files (every source file of the request) and functions (every
 //            declared free function and method, linked to its declaring

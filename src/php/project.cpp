@@ -287,22 +287,6 @@ std::optional<Project> Project::fork_with_replacement(
     return fork;
 }
 
-std::string Project::declaration_fingerprint(std::string_view file) const {
-    std::string fp;
-    const ParsedFile* pf = file_named(file);
-    if (!pf) return fp;
-    for (const ClassDecl* cls : pf->facts.classes) {
-        fp += "class ";
-        fp += cls->name;
-        fp += ';';
-    }
-    for (const FunctionRef& ref : pf->facts.functions) {
-        fp += ref.qualified_name();
-        fp += ';';
-    }
-    return fp;
-}
-
 int Project::total_lines() const noexcept {
     int total = 0;
     for (const auto& pf : files_) total += pf->source->line_count();

@@ -177,13 +177,6 @@ public:
         return function_list_;
     }
 
-    /// Rendering of every declaration the named file contributes (classes,
-    /// then functions/methods, read from its facts), in declaration order.
-    /// Two projects agreeing on a file's declaration fingerprint resolve
-    /// every name outside that file identically — the soundness gate for
-    /// reusing function summaries across a single-file patch (validate/).
-    std::string declaration_fingerprint(std::string_view file) const;
-
     /// Names of free functions called anywhere in plugin code (folded,
     /// sorted, de-duplicated; views into the files' arenas).
     const std::vector<std::string_view>& called_function_names() const noexcept {

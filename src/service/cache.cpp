@@ -64,72 +64,6 @@ uint64_t approx_bytes(const AnalysisResult& result) {
     return bytes;
 }
 
-bool DepCheckMemo::validate(const SummaryArtifact& artifact) {
-    ++obs::tls().cache_dep_walks;
-    for (const SummaryDep& dep : artifact.deps) {
-        if (dep.kind == SummaryDep::Kind::kFile) {
-            // The project's file index is the memo for file deps.
-            ++obs::tls().cache_dep_walk_memo_hits;
-            const php::ParsedFile* file = project_.file_named(dep.name);
-            if (!file || file->content_hash != dep.hash) return false;
-            continue;
-        }
-        auto key = std::make_pair(static_cast<int>(dep.kind), dep.name);
-        auto memo = resolutions_.find(key);
-        if (memo == resolutions_.end()) {
-            ++obs::tls().cache_dep_walk_steps;
-            std::string resolved;
-            switch (dep.kind) {
-                case SummaryDep::Kind::kFunction: {
-                    const php::FunctionRef* ref =
-                        project_.find_function(dep.name);
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kMethod: {
-                    const size_t sep = dep.name.find("::");
-                    if (sep == std::string::npos) {
-                        // A malformed record never validates; the sentinel
-                        // cannot be a file.
-                        resolved = "\x1f<malformed>";
-                        break;
-                    }
-                    const php::FunctionRef* ref = project_.find_method(
-                        std::string_view(dep.name).substr(0, sep),
-                        std::string_view(dep.name).substr(sep + 2));
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kMethodAny: {
-                    const php::FunctionRef* ref =
-                        project_.find_method_any(dep.name);
-                    if (ref) resolved.assign(ref->file);
-                    break;
-                }
-                case SummaryDep::Kind::kClass: {
-                    if (project_.find_class(dep.name))
-                        resolved = project_.file_of_class(dep.name);
-                    break;
-                }
-                case SummaryDep::Kind::kInclude: {
-                    const php::ParsedFile* file =
-                        project_.resolve_include(dep.name);
-                    if (file) resolved = file->source->name();
-                    break;
-                }
-                case SummaryDep::Kind::kFile:
-                    break;  // handled above
-            }
-            memo = resolutions_.emplace(std::move(key), std::move(resolved))
-                       .first;
-        } else {
-            ++obs::tls().cache_dep_walk_memo_hits;
-        }
-        if (memo->second != dep.file) return false;
-    }
-    return true;
-}
-
 void AnalysisCache::init_pool(Pool& pool, uint64_t budget, int shards) {
     int count = std::max(1, shards);
     // Don't split a small budget into slices too tiny to hold an entry:
@@ -187,18 +121,20 @@ std::shared_ptr<const void> AnalysisCache::find(Shard& shard,
 void AnalysisCache::insert(Shard& shard, const std::string& key,
                            std::shared_ptr<const void> payload, uint64_t bytes) {
     if (bytes > shard.budget) return;  // would evict the whole shard for nothing
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-        // Refresh in place (same content key, so the payload is equivalent).
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-        return;
+    const auto [it, added] = shard.entries.try_emplace(key);
+    Entry& entry = it->second;
+    if (added) {
+        shard.lru.push_front(key);
+        entry.lru_pos = shard.lru.begin();
+    } else {
+        // Replace: the old payload is released like an eviction would.
+        shard.lru.splice(shard.lru.begin(), shard.lru, entry.lru_pos);
+        shard.bytes -= entry.bytes;
+        bytes_resident_.fetch_sub(entry.bytes, relaxed);
+        obs::tls().cache_bytes_evicted += entry.bytes;
     }
-    shard.lru.push_front(key);
-    Entry entry;
     entry.payload = std::move(payload);
     entry.bytes = bytes;
-    entry.lru_pos = shard.lru.begin();
-    shard.entries.emplace(key, std::move(entry));
     shard.bytes += bytes;
     shard.entries_gauge.store(shard.entries.size(), relaxed);
     shard.bytes_gauge.store(shard.bytes, relaxed);

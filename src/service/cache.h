@@ -7,11 +7,14 @@
 //     stages that dominate model-construction CPU (see BENCH_scale.json).
 //   - summary pool: reusable SummaryArtifacts (core/summaries.h) keyed by
 //     (analysis-preset fingerprint, lowercased qualified function name,
-//     content hash of the declaring file). Before an artifact seeds a new
-//     run, every recorded dependency is revalidated against the new project
-//     (DepCheckMemo::validate); a changed file therefore invalidates its
-//     dependents' summaries through the include/call graph while their
-//     ASTs — keyed by content alone — stay usable.
+//     content hash of the declaring file). The key does not cover the
+//     artifact's dependencies, so a hit is only a candidate: before it
+//     seeds a new run, DepCheckMemo::validate (core/summaries.h, the one
+//     reuse gate) re-checks every recorded dependency against the new
+//     project. A changed file therefore invalidates its dependents'
+//     summaries through the include/call graph while their ASTs — keyed by
+//     content alone — stay usable, and the summary recomputed for the new
+//     project replaces the stale entry under the same key.
 //   - result pool: whole AnalysisResults keyed by (preset fingerprint,
 //     project fingerprint). A hit answers a scan without touching the
 //     engine at all.
@@ -24,8 +27,12 @@
 // evicts that shard's least recently used entries until it fits. A pool
 // whose whole budget is smaller than 64 KiB per shard collapses to fewer
 // shards (floor one), so tiny test budgets keep the exact single-LRU
-// semantics the eviction tests pin down. Byte sizes are estimates
-// (approx_bytes) — good enough to bound memory, not an allocator audit.
+// semantics the eviction tests pin down. Inserting an existing key
+// replaces its payload and byte charge, in every pool: file and result keys
+// are content keys, so the new payload is equivalent, and a summary key's
+// new payload is the recomputation that supersedes a stale one. Byte sizes
+// are estimates (approx_bytes) — good enough to bound memory, not an
+// allocator audit.
 //
 // Statistics are kept in relaxed atomics (hit/miss/eviction totals at the
 // cache level, occupancy gauges per shard), so stats() assembles its
@@ -93,31 +100,6 @@ uint64_t approx_bytes(const php::ParsedFile& file);
 uint64_t approx_bytes(const Finding& finding);
 uint64_t approx_bytes(const SummaryArtifact& artifact);
 uint64_t approx_bytes(const AnalysisResult& result);
-
-/// Checks a SummaryArtifact's recorded dependencies against one scan
-/// request's project: kFile deps re-hash, resolution deps re-resolve to the
-/// same file; a false result means seeding the artifact would be unsound.
-/// File deps are answered by the project's file index. Every other
-/// distinct (kind, name) is resolved against the project once per request,
-/// and every later summary whose dependency list mentions the same name is
-/// answered from the memo — the cache_dep_walk_* obs counters record this
-/// (cache_dep_walks lists walked, cache_dep_walk_steps project lookups
-/// performed, cache_dep_walk_memo_hits records answered without one). Not
-/// thread-safe; one memo per request.
-class DepCheckMemo {
-public:
-    explicit DepCheckMemo(const php::Project& project) : project_(project) {}
-
-    /// True when every dependency recorded by `artifact` still holds.
-    bool validate(const SummaryArtifact& artifact);
-
-private:
-    const php::Project& project_;
-    /// (dep kind, name) → the file the name currently resolves to; ""
-    /// when unresolved, so a dependency that was unresolved when recorded
-    /// and still is validates.
-    std::map<std::pair<int, std::string>, std::string> resolutions_;
-};
 
 class AnalysisCache {
 public:

@@ -165,17 +165,9 @@ ValidateResponse AnalysisService::validate(const ScanRequest& request) {
     }
 
     // The replay needs the concrete project, which the scan path does not
-    // hand out: rebuild it from the request's specs. Pinned ASTs (watch
-    // sessions) ride through without re-parsing; plain texts parse fresh.
-    php::Project project(request.plugin);
-    for (const SourceFileSpec& file : request.files) {
-        if (file.parsed)
-            project.add_parsed(file.parsed);
-        else
-            project.add_file(file.name, file.text);
-    }
-    DiagnosticSink sink;
-    project.parse_all(sink);
+    // hand out: rebuild it from the request, reusing the parses the scan
+    // just left in the file pool.
+    const php::Project project = build_project(request);
 
     // Same preset resolution as perform_scan, so the analyzer
     // configuration fix verification re-runs is exactly the one that
@@ -294,6 +286,32 @@ void AnalysisService::run_scan(const std::shared_ptr<PendingScan>& scan) {
     finish(scan, std::move(response));
 }
 
+php::Project AnalysisService::build_project(const ScanRequest& request) {
+    php::Project project(request.plugin);
+    std::vector<bool> parsed_here(request.files.size(), false);
+    for (size_t i = 0; i < request.files.size(); ++i) {
+        const SourceFileSpec& file = request.files[i];
+        if (file.parsed) {
+            // Pinned by the requester (watch sessions): no hash, no cache
+            // probe — the shared_ptr alone keeps it alive.
+            project.add_parsed(file.parsed);
+            continue;
+        }
+        if (auto cached = cache_.find_file(file.name, spec_content_hash(file))) {
+            project.add_parsed(std::move(cached));
+            continue;
+        }
+        project.add_file(file.name, file.text);
+        parsed_here[i] = true;
+    }
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    const auto& files = project.files();
+    for (size_t i = 0; i < files.size(); ++i)
+        if (parsed_here[i]) cache_.insert_file(files[i]);
+    return project;
+}
+
 ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
     const double wall_start = wall_seconds();
     obs::Tracer inert(false);
@@ -321,36 +339,10 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
 
     if (!served) {
         // Model construction, with per-file AST reuse.
-        php::Project project(scan.request.plugin);
-        {
-            auto build_span =
-                tracer.span("service.build", {{"plugin", scan.request.plugin}});
-            for (const SourceFileSpec& file : scan.request.files) {
-                if (file.parsed) {
-                    // Pinned by the requester (watch sessions): no hash, no
-                    // cache probe — the shared_ptr alone keeps it alive.
-                    project.add_parsed(file.parsed);
-                    continue;
-                }
-                const uint64_t hash = file.known_hash != 0
-                                          ? file.known_hash
-                                          : php::content_hash(file.text);
-                if (auto cached = cache_.find_file(file.name, hash))
-                    project.add_parsed(std::move(cached));
-                else
-                    project.add_file(file.name, file.text);
-            }
-            DiagnosticSink sink;
-            project.parse_all(sink);
-            // Pinned files skip (re)insertion: they bypassed the probe on
-            // the way in, and their owner keeps them resident regardless.
-            const auto& parsed_files = project.files();
-            for (size_t i = 0; i < parsed_files.size(); ++i) {
-                if (i < scan.request.files.size() && scan.request.files[i].parsed)
-                    continue;
-                cache_.insert_file(parsed_files[i]);
-            }
-        }
+        auto build_span =
+            tracer.span("service.build", {{"plugin", scan.request.plugin}});
+        const php::Project project = build_project(scan.request);
+        build_span.end();
         response.files_reused = project.build_stats().files_reused;
 
         // Summary seeding: sound only for presets that pre-summarize every
@@ -405,8 +397,9 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
             response.result.cpu_seconds = thread_cpu_seconds() - cpu_start;
         }
 
-        // Admit this run's reusable summaries, pinning each kFile dep to
-        // the content hash it was computed against.
+        // Admit this run's reusable summaries. A key already in the pool
+        // held an artifact that failed validation above; this one replaces
+        // it.
         if (summary_reuse) {
             for (auto& [key, artifact] : capture) {
                 if (!artifact.reusable) continue;
@@ -420,17 +413,6 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                         : project.find_method(name.substr(0, sep),
                                               name.substr(sep + 2));
                 if (!owner || !iequals(owner->qualified_name(), key)) continue;
-                bool hashes_ok = true;
-                for (SummaryDep& dep : artifact.deps) {
-                    if (dep.kind != SummaryDep::Kind::kFile) continue;
-                    const php::ParsedFile* file = project.file_named(dep.name);
-                    if (!file) {
-                        hashes_ok = false;
-                        break;
-                    }
-                    dep.hash = file->content_hash;
-                }
-                if (!hashes_ok) continue;
                 const uint64_t owner_hash =
                     project.file_named(owner->file)->content_hash;
                 cache_.insert_summary(preset_fp, key, owner_hash,

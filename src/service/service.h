@@ -201,6 +201,12 @@ public:
     void pause();
     void resume();
 
+    /// The request's project, the one request-to-Project path of the scan,
+    /// validate and graph ops: pinned ASTs ride through untouched, every
+    /// other file is probed in the file pool by (name, content hash), and
+    /// the misses are parsed and admitted.
+    php::Project build_project(const ScanRequest& request);
+
     CacheStats cache_stats() const { return cache_.stats(); }
     /// Drops every cache pool, including stored validate responses.
     void clear_cache();

@@ -212,21 +212,7 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
 
 graph::ProjectGraph build_request_graph(AnalysisService& service,
                                         const ScanRequest& request) {
-    php::Project project(request.plugin);
-    for (const SourceFileSpec& spec : request.files) {
-        if (spec.parsed) {
-            project.add_parsed(spec.parsed);
-            continue;
-        }
-        const uint64_t hash = AnalysisService::spec_content_hash(spec);
-        if (auto cached = service.cache().find_file(spec.name, hash))
-            project.add_parsed(std::move(cached));
-        else
-            project.add_file(spec.name, spec.text);
-    }
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    for (const auto& parsed : project.files()) service.cache().insert_file(parsed);
+    const php::Project project = service.build_project(request);
     ++obs::tls().graph_builds;
     return graph::build_project_graph(project);
 }

@@ -29,7 +29,8 @@
 // any PHPSAFE_JOBS, any cache state, any preset. What the cone bounds is
 // *cost*, not correctness: out-of-cone files ride through as pinned ASTs
 // with cached summaries whose dependency validation is memoized
-// (DepCheckMemo), so re-analysis work scales with the cone, not the tree
+// (DepCheckMemo, core/summaries.h — the one summary-reuse gate), so
+// re-analysis work scales with the cone, not the tree
 // (BENCH_graph.json). A cone-gated scan that skipped out-of-cone files
 // outright would be unsound: a changed file can shadow a declaration an
 // out-of-cone summary resolved, which only dependency validation against

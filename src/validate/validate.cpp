@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "util/worker_pool.h"
@@ -38,19 +37,12 @@ std::string finding_signature(const Finding& finding) {
     return sig;
 }
 
-/// Hermetic summary artifacts captured from the original project, handed to
-/// every fix verification for seeding. Only set when the hermetic baseline
-/// scan reproduced the caller's result byte-for-byte — the precondition for
-/// judging seeded hermetic rescans against that result. The seed map is
-/// built once; each verification passes the engine the per-file block set
-/// (artifacts whose computation read that file) instead of filtering the
-/// map per fix.
+/// Hermetic summary artifacts captured from the original project, offered
+/// to every fix verification for seeding. Only set when the hermetic
+/// baseline scan reproduced the caller's result byte-for-byte — the
+/// precondition for judging seeded hermetic rescans against that result.
 struct SeedContext {
-    const std::map<std::string, const SummaryArtifact*>* seeds = nullptr;
-    /// file → keys of reusable artifacts whose dependency record touches it
-    /// (kFile deps by file, unresolved deps by name).
-    const std::map<std::string, std::set<std::string>>* blocked_by_file =
-        nullptr;
+    const std::map<std::string, SummaryArtifact>* capture = nullptr;
     AnalysisOptions hermetic;
 };
 
@@ -64,16 +56,16 @@ struct SeedContext {
 ///   - every OTHER finding is byte-identical (same order, same trace),
 ///   - the interpreter replay no longer confirms the flow.
 ///
-/// When a SeedContext is supplied, the rescan reuses every captured summary
-/// whose computation never looked at the patched file. That is sound while
-/// the patch leaves the file's declaration set unchanged (then name
-/// resolution outside the file is untouched, so those summaries' inputs are
-/// byte-identical on the patched project) — gated here by comparing
-/// declaration fingerprints, falling back to an unseeded rescan otherwise.
-/// Entry-file artifacts carry their own second gate: the engine replays one
-/// only while every shared slot (global / property) the walk observed still
-/// holds the captured value, so cross-entry state flows re-run exactly when
-/// the patch actually changed their inputs.
+/// When a SeedContext is supplied, the rescan seeds exactly the captured
+/// artifacts that a DepCheckMemo over the patched fork accepts — the same
+/// gate the service applies across scans. Every artifact whose computation
+/// read the patched file fails its kFile hash, and every name resolution
+/// the patch moved (an added, removed or shadowing declaration) fails its
+/// re-resolution, so only summaries whose inputs are byte-identical on the
+/// patched project are reused. Entry-file artifacts carry a second gate:
+/// the engine replays one only while every shared slot (global / property)
+/// the walk observed still holds the captured value, so cross-entry state
+/// flows re-run exactly when the patch actually changed their inputs.
 /// The kQuickfixSoundness fuzz oracle independently re-verifies accepted
 /// fixes against a from-scratch rebuild, so any divergence the gates missed
 /// surfaces as an oracle violation.
@@ -96,13 +88,16 @@ bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
 
     const Analyzer analyzer = Analyzer::borrowing(kb, options);
     ScanResult rescan;
-    if (seed.seeds && project.declaration_fingerprint(fix.file) ==
-                          patched.declaration_fingerprint(fix.file)) {
+    if (seed.capture) {
+        // One memo per fix: a memo is not thread-safe, and fixes verify in
+        // parallel.
+        DepCheckMemo memo(patched);
+        std::map<std::string, const SummaryArtifact*> seeds;
+        for (const auto& [name, artifact] : *seed.capture)
+            if (artifact.reusable && memo.validate(artifact))
+                seeds.emplace_hint(seeds.end(), name, &artifact);
         SummaryExchange exchange;
-        exchange.seeds = seed.seeds;
-        const auto blocked = seed.blocked_by_file->find(fix.file);
-        if (blocked != seed.blocked_by_file->end())
-            exchange.seed_block = &blocked->second;
+        exchange.seeds = &seeds;
         rescan = analyzer.scan(patched, seed.hermetic, exchange);
     } else {
         rescan = analyzer.scan(patched);
@@ -235,8 +230,6 @@ ValidationReport validate_result(const php::Project& project,
         // plain full rescan.
         SeedContext seed;
         std::map<std::string, SummaryArtifact> capture;
-        std::map<std::string, const SummaryArtifact*> seeds;
-        std::map<std::string, std::set<std::string>> blocked_by_file;
         if (report.fixes_proposed > 0) {
             seed.hermetic = options.to_builder()
                                 .hermetic_summaries(true)
@@ -253,17 +246,7 @@ ValidationReport validate_result(const php::Project& project,
             for (size_t i = 0; reproduced && i < result.findings.size(); ++i)
                 reproduced = finding_signature(baseline.result.findings[i]) ==
                              finding_signature(result.findings[i]);
-            if (reproduced) {
-                for (const auto& [name, artifact] : capture) {
-                    if (!artifact.reusable) continue;
-                    seeds.emplace_hint(seeds.end(), name, &artifact);
-                    for (const SummaryDep& dep : artifact.deps)
-                        blocked_by_file[dep.file.empty() ? dep.name : dep.file]
-                            .insert(name);
-                }
-                seed.seeds = &seeds;
-                seed.blocked_by_file = &blocked_by_file;
-            }
+            if (reproduced) seed.capture = &capture;
         }
 
         pool.run(n, [&](size_t i) {

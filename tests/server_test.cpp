@@ -110,6 +110,31 @@ TEST(ShardedCacheTest, TinyBudgetCollapsesToOneShard) {
     EXPECT_EQ(cache.result_shards(), CacheBudgets{}.shards);
 }
 
+TEST(ShardedCacheTest, ReinsertedSummaryReplacesPayloadAndBytes) {
+    // A summary key (preset, function, declaring-file hash) does not cover
+    // the artifact's dependencies, so a re-insert is a recomputation that
+    // must supersede the stale payload, charged once at its new size.
+    AnalysisCache cache;
+    SummaryArtifact stale;
+    stale.deps.push_back({SummaryDep::Kind::kFile, "util.php", "util.php", 1});
+    cache.insert_summary("preset", "wrap", 7, stale);
+    SummaryArtifact fresh = stale;
+    fresh.deps.front().hash = 2;
+    fresh.deps.push_back(
+        {SummaryDep::Kind::kFunction, "inner", "a-much-longer-file-name.php"});
+    const uint64_t fresh_bytes = service::approx_bytes(fresh);
+    ASSERT_NE(fresh_bytes, service::approx_bytes(stale));
+    cache.insert_summary("preset", "wrap", 7, fresh);
+
+    const auto found = cache.find_summary("preset", "wrap", 7);
+    ASSERT_NE(found, nullptr);
+    ASSERT_EQ(found->deps.size(), 2u);
+    EXPECT_EQ(found->deps.front().hash, 2u);
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.summary_entries, 1u);
+    EXPECT_EQ(stats.bytes_resident, fresh_bytes);
+}
+
 TEST(ShardedCacheTest, ShedDropsResultsBeforeParsedFiles) {
     AnalysisService service;
     (void)service.scan(one_file("p1", "a.php", "<?php echo $_GET['a'];"));

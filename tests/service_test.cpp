@@ -117,6 +117,17 @@ TEST(ServiceTest, ChangedDependencyInvalidatesDependentSummary) {
     AnalysisService cold_service;
     const ScanResponse cold = cold_service.scan(vulnerable);
     EXPECT_EQ(render_json_report(warm.result), render_json_report(cold.result));
+
+    // The recomputed wrap() replaced the stale entry under its unchanged
+    // key: a later scan (main.php touched, so the result pool misses) finds
+    // the fresh artifact, which validates and seeds.
+    ScanRequest touched = vulnerable;
+    touched.files[2].text += " // touched";
+    const ScanResponse again = service.scan(touched);
+    EXPECT_FALSE(again.from_result_cache);
+    EXPECT_EQ(again.summaries_invalidated, 0);
+    EXPECT_EQ(again.summaries_seeded, 2);  // wrap() and inner()
+    ASSERT_EQ(again.result.findings.size(), 1u);
 }
 
 TEST(ServiceTest, FileDeletedBetweenScansInvalidatesDependents) {

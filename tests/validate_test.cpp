@@ -129,6 +129,20 @@ std::vector<std::string> declaration_sequence(const php::Project& project) {
     return out;
 }
 
+/// The declarations one file contributes, read from its parse-time facts:
+/// "class <name>" per class, then every function's qualified name.
+std::vector<std::string> file_declarations(const php::Project& project,
+                                           std::string_view file) {
+    std::vector<std::string> out;
+    const php::ParsedFile* parsed = project.file_named(file);
+    if (!parsed) return out;
+    for (const php::ClassDecl* cls : parsed->facts.classes)
+        out.push_back("class " + std::string(cls->name));
+    for (const php::FunctionRef& ref : parsed->facts.functions)
+        out.push_back(ref.qualified_name());
+    return out;
+}
+
 TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     php::Project original("fork");
     const std::string lib =
@@ -156,10 +170,10 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
     DiagnosticSink rebuilt_sink;
     rebuilt.parse_all(rebuilt_sink);
 
-    EXPECT_EQ(fork->declaration_fingerprint("lib.php"),
-              rebuilt.declaration_fingerprint("lib.php"));
-    EXPECT_EQ(fork->declaration_fingerprint("entry.php"),
-              rebuilt.declaration_fingerprint("entry.php"));
+    EXPECT_EQ(file_declarations(*fork, "lib.php"),
+              file_declarations(rebuilt, "lib.php"));
+    EXPECT_EQ(file_declarations(*fork, "entry.php"),
+              file_declarations(rebuilt, "entry.php"));
     EXPECT_EQ(fork->called_function_names(), rebuilt.called_function_names());
     EXPECT_EQ(fork->called_method_names(), rebuilt.called_method_names());
     EXPECT_EQ(fork->all_functions().size(), rebuilt.all_functions().size());
@@ -241,21 +255,21 @@ TEST(ValidateTest, ForkWithReplacementMatchesFullRebuild) {
 
 TEST(ValidateTest, ForkTracksDeclarationChanges) {
     // The fork must stay exact even when the replacement adds declarations
-    // (the seeding gate then sees differing fingerprints and stands down).
+    // (DepCheckMemo then sees the new name resolve into the patched file).
     php::Project original("decl");
     original.add_file("a.php", "<?php echo 'a';\n");
     original.add_file("b.php", "<?php echo 'b';\n");
     DiagnosticSink sink;
     original.parse_all(sink);
-    EXPECT_EQ(original.declaration_fingerprint("a.php"), "");
+    EXPECT_TRUE(file_declarations(original, "a.php").empty());
 
     DiagnosticSink fork_sink;
     const std::optional<php::Project> fork = original.fork_with_replacement(
         "a.php", "<?php function added() { return 1; } echo added();\n",
         fork_sink);
     ASSERT_TRUE(fork.has_value());
-    EXPECT_NE(fork->declaration_fingerprint("a.php"),
-              original.declaration_fingerprint("a.php"));
+    EXPECT_EQ(file_declarations(*fork, "a.php"),
+              std::vector<std::string>{"added"});
     ASSERT_NE(fork->find_function("added"), nullptr);
     EXPECT_EQ(fork->find_function("added")->file, "a.php");
     EXPECT_EQ(original.find_function("added"), nullptr);
@@ -297,6 +311,70 @@ TEST(QuickfixTest, SanitizeWrapVerifiedOnPlainEcho) {
     const AnalysisResult after =
         Analyzer::borrowing(p.tool.kb, p.tool.options).scan(patched).result;
     EXPECT_TRUE(after.findings.empty());
+}
+
+TEST(QuickfixTest, CrossFileFixReseedsOnlyWhatThePatchTouched) {
+    // Both sinks live in lib.php. main.php includes it and calls its
+    // function; page.php only includes it (running its top level). Their
+    // entry walks and show()'s summary all read lib.php, so verifying a
+    // lib.php fix must recompute them on the patched fork, while
+    // other.php's artifacts stay seedable.
+    const std::string lib =
+        "<?php\nfunction show($v) {\n  echo $v;\n}\necho $_COOKIE['b'];\n";
+    const std::string main_php =
+        "<?php\ninclude 'lib.php';\nshow($_GET['x']);\n";
+    const std::string other =
+        "<?php\nfunction tag($t) { return '<b>' . $t . '</b>'; }\n"
+        "echo tag($_POST['y']);\n";
+    const std::string page = "<?php\ninclude 'lib.php';\n";
+    Pipeline p;
+    // Hermetic, as the service scans: verification seeds only when its
+    // hermetic baseline reproduces the caller's result.
+    p.tool.options =
+        p.tool.options.to_builder().hermetic_summaries(true).build();
+    p.project.add_file("lib.php", lib);
+    p.project.add_file("main.php", main_php);
+    p.project.add_file("page.php", page);
+    p.project.add_file("other.php", other);
+    DiagnosticSink sink;
+    p.project.parse_all(sink);
+    const Analyzer analyzer = Analyzer::borrowing(p.tool.kb, p.tool.options);
+    p.analysis = analyzer.scan(p.project).result;
+    const ValidationReport report = run(p);
+
+    int lib_fixes = 0;
+    for (size_t index = 0; index < p.analysis.findings.size(); ++index) {
+        if (p.analysis.findings[index].location.file != "lib.php") continue;
+        ++lib_fixes;
+        const std::string target = to_string(p.analysis.findings[index]);
+        ASSERT_TRUE(report.cases[index].fix.has_value()) << target;
+        const Quickfix& fix = *report.cases[index].fix;
+        EXPECT_TRUE(fix.verified);
+        EXPECT_EQ(fix.file, "lib.php");
+
+        // A from-scratch rebuild of the patched project loses exactly the
+        // targeted finding; every other finding is unchanged.
+        const std::optional<std::string> patched_lib =
+            apply_quickfix(p.project, fix);
+        ASSERT_TRUE(patched_lib.has_value());
+        php::Project patched("v");
+        patched.add_file("lib.php", *patched_lib);
+        patched.add_file("main.php", main_php);
+        patched.add_file("page.php", page);
+        patched.add_file("other.php", other);
+        DiagnosticSink patched_sink;
+        patched.parse_all(patched_sink);
+        std::vector<std::string> expected;
+        for (size_t i = 0; i < p.analysis.findings.size(); ++i)
+            if (i != index)
+                expected.push_back(to_string(p.analysis.findings[i]));
+        std::vector<std::string> actual;
+        for (const Finding& f : analyzer.scan(patched).result.findings)
+            actual.push_back(to_string(f));
+        EXPECT_EQ(actual, expected) << target;
+    }
+    EXPECT_EQ(lib_fixes, 2);
+    EXPECT_EQ(p.analysis.findings.size(), 3u);  // plus other.php's echo
 }
 
 TEST(QuickfixTest, PrepareStatementRewriteForMysqliQuery) {
