@@ -40,8 +40,7 @@
 //
 // --smoke is the CI gate: the identity gates plus the machine-independent
 // batched-over-sequential speedup on a small fixed workload; >20%
-// regression against the committed baseline's smoke block fails (the
-// bench_graph precedent).
+// regression against the committed baseline's smoke block fails.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>

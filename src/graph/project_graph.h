@@ -194,7 +194,7 @@ private:
 ProjectGraph build_project_graph(const php::Project& project);
 
 /// Renders analyze() output as one compact JSON object (the payload of the
-/// NDJSON "graph" response; also used by bench_graph). Ids are rendered as
+/// NDJSON "graph" response). Ids are rendered as
 /// file names so the output is stable across id assignment.
 std::string render_graph_analytics(const ProjectGraph& g,
                                    const ProjectGraph::Analytics& a);

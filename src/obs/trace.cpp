@@ -1,10 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
-#include "util/json_writer.h"
 #include "util/timing.h"
 
 namespace phpsafe::obs {
@@ -69,75 +66,6 @@ std::vector<SpanRecord> Tracer::records() const {
 size_t Tracer::record_count() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return records_.size();
-}
-
-std::string Tracer::chrome_trace_json() const {
-    const std::vector<SpanRecord> spans = records();
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.begin_object();
-    w.key("traceEvents").begin_array();
-    for (const SpanRecord& span : spans) {
-        w.begin_object();
-        w.kv("name", span.name);
-        w.kv("cat", "phpsafe");
-        w.kv("ph", "X");  // complete event: ts + dur
-        w.kv("pid", 1);
-        w.kv("tid", span.thread);
-        w.kv("ts", span.wall_start * 1e6, 3);
-        w.kv("dur", span.wall_seconds * 1e6, 3);
-        w.key("args").begin_object();
-        for (const SpanArg& arg : span.args) w.kv(arg.first, arg.second);
-        w.kv("cpu_ms", span.cpu_seconds * 1e3, 3);
-        w.end_object();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    return os.str();
-}
-
-std::string Tracer::flat_json() const {
-    const std::vector<SpanRecord> spans = records();
-    std::ostringstream os;
-    JsonWriter w(os, 2);
-    w.begin_object();
-    w.key("spans").begin_array();
-    for (const SpanRecord& span : spans) {
-        w.begin_object();
-        w.kv("name", span.name);
-        for (const SpanArg& arg : span.args) w.kv(arg.first, arg.second);
-        w.kv("thread", span.thread);
-        w.kv("wall_start_ms", span.wall_start * 1e3, 3);
-        w.kv("wall_ms", span.wall_seconds * 1e3, 3);
-        w.kv("cpu_ms", span.cpu_seconds * 1e3, 3);
-        // Only the counters the span actually moved: a scan span shows its
-        // cache traffic and shard contention without 30 zero fields.
-        w.key("counters").begin_object();
-        span.counters.for_each_field([&](const char* name, uint64_t value) {
-            if (value) w.kv(name, value);
-        });
-        w.end_object();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    os << "\n";
-    return os.str();
-}
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << chrome_trace_json() << "\n";
-    return static_cast<bool>(out);
-}
-
-bool Tracer::write_flat_json(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) return false;
-    out << flat_json();
-    return static_cast<bool>(out);
 }
 
 }  // namespace phpsafe::obs

@@ -1,18 +1,14 @@
-// Span tracing for the observability subsystem. A Span measures one
-// (plugin, version, tool, stage) unit of work — wall clock and per-thread
-// CPU — and a Tracer collects spans from any number of threads. Two
-// exporters: the Chrome trace-event format (load trace.json in
-// chrome://tracing or https://ui.perfetto.dev) and a flat JSON array for
-// scripted analysis.
+// Span tracing for the observability subsystem. A Span measures one unit
+// of work — wall clock, per-thread CPU and the counters it moved — and a
+// Tracer collects spans from any number of threads. Callers read them back
+// through records() and render them as they need; the service records its
+// per-scan stage spans into the tracer named by ServiceOptions::tracer.
 //
 // Cost model: a *disabled* tracer is free — span() returns an inert Span
 // without copying a byte or allocating (tests/obs_test.cpp asserts this),
-// so instrumentation can stay in place unconditionally. The PHPSAFE_TRACE
-// CMake option chooses the default-constructed state: OFF (the default)
-// builds a library whose tracers start disabled and must be armed
-// explicitly with Tracer(true); ON arms them at construction. Either way
-// there are no extra dependencies — exporters use only the standard
-// library and util/json_writer.h.
+// so instrumentation can stay in place unconditionally. Whether a tracer
+// records is chosen where it is constructed: Tracer(true) records,
+// Tracer(false) does not.
 #pragma once
 
 #include <initializer_list>
@@ -27,16 +23,6 @@
 
 namespace phpsafe::obs {
 
-/// True when the build was configured with -DPHPSAFE_TRACE=ON, i.e. when
-/// default-constructed tracers record spans.
-constexpr bool trace_enabled_by_default() noexcept {
-#ifdef PHPSAFE_TRACE
-    return true;
-#else
-    return false;
-#endif
-}
-
 /// One label attached to a span ("plugin" → "wp-forum", "stage" → "lex").
 using SpanArg = std::pair<std::string, std::string>;
 
@@ -50,13 +36,13 @@ struct SpanRecord {
     int thread = 0;             ///< dense per-tracer thread index
     /// Counter increments the recording thread performed inside the span
     /// (a CounterDelta over its lifetime) — shard lock contention, cache
-    /// traffic, taint work. The flat exporter emits the nonzero fields.
+    /// traffic, taint work.
     Counters counters;
 };
 
 class Tracer {
 public:
-    explicit Tracer(bool enabled = trace_enabled_by_default());
+    explicit Tracer(bool enabled);
 
     bool enabled() const noexcept { return enabled_; }
 
@@ -110,17 +96,6 @@ public:
     /// Snapshot of everything recorded so far (thread-safe).
     std::vector<SpanRecord> records() const;
     size_t record_count() const;
-
-    /// Chrome trace-event JSON ({"traceEvents":[...]}; ts/dur in µs).
-    std::string chrome_trace_json() const;
-
-    /// Flat JSON: {"spans":[{name, args..., wall_ms, cpu_ms,
-    /// counters:{...nonzero deltas...}}, ...]}.
-    std::string flat_json() const;
-
-    /// Writes an exporter's output to `path`; returns false on I/O error.
-    bool write_chrome_trace(const std::string& path) const;
-    bool write_flat_json(const std::string& path) const;
 
 private:
     void commit(SpanRecord&& record);

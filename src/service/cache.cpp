@@ -14,6 +14,10 @@ namespace {
 /// names or fingerprints.
 constexpr char kSep = '\x1f';
 
+/// Lock shards per pool. Each shard gets an equal slice of the pool budget,
+/// but never less than kMinShardBudget.
+constexpr int kMaxShards = 8;
+
 /// Minimum budget slice worth giving its own lock: below this a pool runs
 /// fewer shards so per-shard LRU still behaves like the whole-pool LRU the
 /// small-budget eviction tests rely on.
@@ -64,8 +68,8 @@ uint64_t approx_bytes(const AnalysisResult& result) {
     return bytes;
 }
 
-void AnalysisCache::init_pool(Pool& pool, uint64_t budget, int shards) {
-    int count = std::max(1, shards);
+void AnalysisCache::init_pool(Pool& pool, uint64_t budget) {
+    int count = kMaxShards;
     // Don't split a small budget into slices too tiny to hold an entry:
     // collapse to however many >= 64 KiB slices fit, floor one.
     if (budget / static_cast<uint64_t>(count) < kMinShardBudget)
@@ -80,9 +84,9 @@ void AnalysisCache::init_pool(Pool& pool, uint64_t budget, int shards) {
 }
 
 AnalysisCache::AnalysisCache(CacheBudgets budgets) {
-    init_pool(files_, budgets.file_bytes, budgets.shards);
-    init_pool(summaries_, budgets.summary_bytes, budgets.shards);
-    init_pool(results_, budgets.result_bytes, budgets.shards);
+    init_pool(files_, budgets.file_bytes);
+    init_pool(summaries_, budgets.summary_bytes);
+    init_pool(results_, budgets.result_bytes);
 }
 
 AnalysisCache::Shard& AnalysisCache::shard_for(Pool& pool,
@@ -96,7 +100,8 @@ AnalysisCache::Shard& AnalysisCache::shard_for(Pool& pool,
 namespace {
 
 /// Takes a shard lock, counting acquisitions and the ones that had to
-/// wait — the contention signal bench_serve reports per worker count.
+/// wait — the contention signal perfbench reports as
+/// service.shard_contention.
 template <typename Mutex>
 std::unique_lock<Mutex> lock_shard(Mutex& mutex) {
     ++obs::tls().cache_shard_probes;

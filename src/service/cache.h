@@ -4,7 +4,7 @@
 //   - file pool: lexed+parsed files keyed by (file name, fnv1a64 of the
 //     text). A hit injects the shared immutable AST into the next project
 //     via php::Project::add_parsed(), skipping lexing and parsing — the two
-//     stages that dominate model-construction CPU (see BENCH_scale.json).
+//     stages that dominate model-construction CPU (docs/performance.md).
 //   - summary pool: reusable SummaryArtifacts (core/summaries.h) keyed by
 //     (analysis-preset fingerprint, lowercased qualified function name,
 //     content hash of the declaring file). The key does not cover the
@@ -19,7 +19,7 @@
 //     project fingerprint). A hit answers a scan without touching the
 //     engine at all.
 //
-// Concurrency model: each pool is split into up to CacheBudgets::shards
+// Concurrency model: each pool is split into up to eight
 // independently-locked shards, selected by hashing the entry key, so a
 // server's worker threads only contend when they touch the same slice of
 // the key space. Each shard owns an equal slice of the pool's byte budget
@@ -63,10 +63,6 @@ struct CacheBudgets {
     uint64_t file_bytes = 64ull << 20;
     uint64_t summary_bytes = 64ull << 20;
     uint64_t result_bytes = 16ull << 20;
-    /// Upper bound on lock shards per pool. Each shard gets an equal slice
-    /// of the pool budget, but never less than 64 KiB — pools with small
-    /// budgets use fewer shards rather than uselessly tiny ones.
-    int shards = 8;
 };
 
 /// Occupancy of one lock shard (aggregated across the three pools).
@@ -174,7 +170,7 @@ private:
         std::vector<std::unique_ptr<Shard>> shards;
     };
 
-    static void init_pool(Pool& pool, uint64_t budget, int shards);
+    static void init_pool(Pool& pool, uint64_t budget);
     Shard& shard_for(Pool& pool, std::string_view key);
     /// find/insert run under the shard lock taken by the caller.
     std::shared_ptr<const void> find(Shard& shard, const std::string& key);

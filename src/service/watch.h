@@ -30,8 +30,8 @@
 // *cost*, not correctness: out-of-cone files ride through as pinned ASTs
 // with cached summaries whose dependency validation is memoized
 // (DepCheckMemo, core/summaries.h — the one summary-reuse gate), so
-// re-analysis work scales with the cone, not the tree
-// (BENCH_graph.json). A cone-gated scan that skipped out-of-cone files
+// re-analysis work scales with the cone, not the tree (perfbench's
+// watch-edit workload measures the per-edit cost). A cone-gated scan that skipped out-of-cone files
 // outright would be unsound: a changed file can shadow a declaration an
 // out-of-cone summary resolved, which only dependency validation against
 // the full project catches.

@@ -1,5 +1,6 @@
 // Minimal streaming JSON writer shared by every JSON producer in the tree
-// (report/export.cpp, bench/bench_scale.cpp, the obs trace exporters).
+// (report/export.cpp, service/ndjson.cpp, graph/project_graph.cpp,
+// bench/bench_validate.cpp, perfbench's records).
 // Before it existed each of those hand-rolled its own comma/escape/indent
 // logic; this centralizes the three things that keep going wrong in
 // hand-rolled emission — separators, string escaping, and balanced
@@ -15,7 +16,7 @@
 //
 // indent_width 0 produces compact single-line JSON (the CI export format);
 // a positive width pretty-prints with that many spaces per level (the
-// committed BENCH_*.json files).
+// committed BENCH_validate.json).
 #pragma once
 
 #include <cstdint>

@@ -77,24 +77,29 @@ TEST(DeterminismTest, RepeatedParallelRunsAreStable) {
 
 // The analysis service must be invisible in the output: findings are a
 // function of (plugin content, preset) alone — not of cache state and not
-// of the worker count. Serve the corpus's first plugins through services in
-// every combination of {cold, warm-after-edit} x {1 worker, 4 workers} and
-// require byte-identical reports.
+// of the worker count. Serve every corpus plugin, with the first file of
+// the first plugin touched, through services in every combination of
+// {cold, warm-after-edit} x {1 worker, 4 workers} and require
+// byte-identical reports. In the warm arms the untouched plugins are
+// result-pool hits and the touched one re-analyzes with cached ASTs and
+// seeded summaries.
 TEST(DeterminismTest, ServiceFindingsIndependentOfCacheStateAndWorkers) {
     corpus::CorpusOptions corpus_options;
-    corpus_options.scale = 0.05;
+    corpus_options.scale = 0.2;
     const corpus::Corpus corpus = corpus::generate_corpus(corpus_options);
 
-    std::vector<service::ScanRequest> requests;
-    for (size_t i = 0; i < 3 && i < corpus.plugins.size(); ++i) {
+    std::vector<service::ScanRequest> original;
+    for (const corpus::GeneratedPlugin& plugin : corpus.plugins) {
         service::ScanRequest request;
-        request.plugin = corpus.plugins[i].name;
-        for (const auto& [name, text] : corpus.plugins[i].v2014.files)
+        request.plugin = plugin.name;
+        for (const auto& [name, text] : plugin.v2014.files)
             request.files.push_back({name, text});
-        // The edited revision every arm is judged on.
-        request.files[0].text += "\n// rev 2\n";
-        requests.push_back(std::move(request));
+        original.push_back(std::move(request));
     }
+    // The edited revision every arm is judged on.
+    std::vector<service::ScanRequest> edited = original;
+    ASSERT_FALSE(edited.empty());
+    edited[0].files[0].text += "\n// rev 2\n";
 
     std::vector<std::vector<std::string>> arms;
     for (const int workers : {1, 4}) {
@@ -102,17 +107,13 @@ TEST(DeterminismTest, ServiceFindingsIndependentOfCacheStateAndWorkers) {
             service::ServiceOptions options;
             options.workers = workers;
             service::AnalysisService svc(options);
-            if (warm) {
-                // Prime with the pre-edit revision so the judged scan runs
-                // against populated file and summary pools.
-                for (service::ScanRequest request : requests) {
-                    request.files[0].text.resize(
-                        request.files[0].text.size() - 10);
-                    (void)svc.scan(std::move(request));
-                }
-            }
+            // Prime with the pre-edit corpus so the judged scans run
+            // against populated file, summary and result pools.
+            if (warm)
+                for (const service::ScanRequest& request : original)
+                    (void)svc.scan(request);
             std::vector<std::string> reports;
-            for (const service::ScanRequest& request : requests)
+            for (const service::ScanRequest& request : edited)
                 reports.push_back(render_json_report(svc.scan(request).result));
             arms.push_back(std::move(reports));
         }

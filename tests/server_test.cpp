@@ -12,14 +12,17 @@
 //     --session tests/golden/ndjson_multi_b.in:tests/golden/ndjson_multi_b.out
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "corpus/generator.h"
 #include "report/export.h"
 #include "service/cache.h"
 #include "service/ndjson.h"
@@ -75,7 +78,7 @@ void wait_for(Predicate predicate, const char* what) {
 
 TEST(ShardedCacheTest, DistributesEntriesAndAggregatesStats) {
     AnalysisCache cache;  // default budgets: 8 shards per pool
-    EXPECT_EQ(cache.result_shards(), CacheBudgets{}.shards);
+    EXPECT_EQ(cache.result_shards(), 8);
 
     AnalysisResult payload;
     payload.plugin = "shard";
@@ -107,7 +110,7 @@ TEST(ShardedCacheTest, TinyBudgetCollapsesToOneShard) {
     AnalysisCache cache(budgets);
     EXPECT_EQ(cache.file_shards(), 1);
     EXPECT_EQ(cache.summary_shards(), 2);
-    EXPECT_EQ(cache.result_shards(), CacheBudgets{}.shards);
+    EXPECT_EQ(cache.result_shards(), 8);
 }
 
 TEST(ShardedCacheTest, ReinsertedSummaryReplacesPayloadAndBytes) {
@@ -493,42 +496,86 @@ TEST(ServerSessionTest, TwoSessionsInterleaveWholeLinesOnSharedSink) {
     EXPECT_EQ(count, 10);
 }
 
+/// Runs each client's schedule on its own thread against one shared
+/// 4-worker service and requires every report to equal the one a serial
+/// single-worker service gives for the same request — the standing
+/// byte-identity invariant under real overlap.
+void expect_clients_match_serial_reference(
+    const std::vector<std::vector<ScanRequest>>& schedules) {
+    std::map<uint64_t, std::string> reference;
+    {
+        ServiceOptions options;
+        options.workers = 1;
+        AnalysisService serial(options);
+        for (const std::vector<ScanRequest>& schedule : schedules)
+            for (const ScanRequest& request : schedule)
+                reference.emplace(
+                    AnalysisService::request_fingerprint(request),
+                    render_json_report(serial.scan(request).result));
+    }
+
+    ServiceOptions options;
+    options.workers = 4;
+    options.max_queue_depth = 4096;  // admission control on, never reached
+    AnalysisService shared(options);
+    std::vector<std::thread> clients;
+    std::vector<int> mismatches(schedules.size(), 0);
+    for (size_t c = 0; c < schedules.size(); ++c) {
+        clients.emplace_back([&, c] {
+            for (const ScanRequest& request : schedules[c]) {
+                const auto expect = reference.find(
+                    AnalysisService::request_fingerprint(request));
+                if (expect == reference.end() ||
+                    expect->second !=
+                        render_json_report(shared.scan(request).result))
+                    ++mismatches[c];
+            }
+        });
+    }
+    for (std::thread& t : clients) t.join();
+    for (size_t c = 0; c < schedules.size(); ++c)
+        EXPECT_EQ(mismatches[c], 0) << "client " << c;
+}
+
 TEST(ServerSessionTest, ConcurrentClientsMatchSerialReferenceReports) {
-    // Four pipelined clients over one shared 4-worker service; every scan's
-    // report must equal the serial single-worker reference for the same
-    // request — the standing byte-identity invariant under real overlap.
+    // Four pipelined clients over eight one-file plugins, each client
+    // starting at a different offset.
     std::vector<ScanRequest> requests;
     for (int i = 0; i < 8; ++i)
         requests.push_back(one_file(
             "plug" + std::to_string(i), "f.php",
             "<?php $v = $_GET['k" + std::to_string(i) + "']; echo $v;"));
+    std::vector<std::vector<ScanRequest>> schedules(4);
+    for (size_t t = 0; t < schedules.size(); ++t)
+        for (size_t i = 0; i < requests.size(); ++i)
+            schedules[t].push_back(requests[(i + t * 3) % requests.size()]);
+    expect_clients_match_serial_reference(schedules);
 
-    std::vector<std::string> reference;
-    {
-        ServiceOptions options;
-        options.workers = 1;
-        AnalysisService serial(options);
-        for (const ScanRequest& request : requests)
-            reference.push_back(render_json_report(serial.scan(request).result));
+    // Four clients over the corpus at scale 0.5, nine requests each: client
+    // c starts at plugin 7c, and its requests cycle through a cold scan of
+    // the plugin's 2014 files, an identical re-scan, and a one-file edit
+    // (a comment revision), so cold analysis, result-pool hits and seeded
+    // re-analysis all overlap.
+    corpus::CorpusOptions corpus_options;
+    corpus_options.scale = 0.5;
+    const corpus::Corpus corpus = corpus::generate_corpus(corpus_options);
+    const size_t plugins = corpus.plugins.size();
+    std::vector<std::vector<ScanRequest>> corpus_schedules(4);
+    for (size_t c = 0; c < corpus_schedules.size(); ++c) {
+        for (size_t i = 0; i < 9; ++i) {
+            const corpus::GeneratedPlugin& plugin =
+                corpus.plugins[(c * 7 + i) % plugins];
+            ScanRequest request;
+            request.plugin = plugin.name;
+            for (const auto& [name, text] : plugin.v2014.files)
+                request.files.push_back({name, text});
+            if (i % 3 == 2 && !request.files.empty())
+                request.files[0].text +=
+                    "\n// edit revision " + std::to_string(i / 3) + "\n";
+            corpus_schedules[c].push_back(std::move(request));
+        }
     }
-
-    ServiceOptions options;
-    options.workers = 4;
-    AnalysisService shared(options);
-    std::vector<std::thread> clients;
-    std::vector<int> mismatches(4, 0);
-    for (int t = 0; t < 4; ++t) {
-        clients.emplace_back([&, t] {
-            for (size_t i = 0; i < requests.size(); ++i) {
-                const size_t pick = (i + static_cast<size_t>(t) * 3) % requests.size();
-                if (render_json_report(shared.scan(requests[pick]).result) !=
-                    reference[pick])
-                    ++mismatches[static_cast<size_t>(t)];
-            }
-        });
-    }
-    for (std::thread& t : clients) t.join();
-    for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0);
+    expect_clients_match_serial_reference(corpus_schedules);
 }
 
 // ----------------------------------------------------------- watch mode
@@ -568,62 +615,104 @@ void cold_diff(const std::vector<Finding>& before,
 /// Watch-mode byte-identity: the delta an edit answers must equal the diff
 /// of two *cold* scans on fresh services — at any worker count, with a
 /// mixed upsert + remove batch.
+using FileSet = std::vector<std::pair<std::string, std::string>>;
+
+ScanRequest request_of(const std::string& plugin, const FileSet& files) {
+    ScanRequest request;
+    request.plugin = plugin;
+    for (const auto& [name, text] : files) request.files.push_back({name, text});
+    return request;
+}
+
+/// The watch-mode identity gate: a session opened over `before` at
+/// `workers` and sent `batch` must answer with exactly the delta a client
+/// diffing two cold single-worker scans would compute, and its post-edit
+/// report must equal the cold re-scan's byte for byte. Returns the delta
+/// for case-specific checks.
+service::WatchDelta watch_edit_against_cold(const std::string& plugin,
+                                            const FileSet& before,
+                                            const service::WatchEditBatch& batch,
+                                            int workers) {
+    // The tree after the batch: upserts replace in place or append,
+    // removals drop.
+    FileSet after;
+    for (const auto& [name, text] : before) {
+        if (std::find(batch.removals.begin(), batch.removals.end(), name) !=
+            batch.removals.end())
+            continue;
+        std::string current = text;
+        for (const service::SourceFileSpec& upsert : batch.upserts)
+            if (upsert.name == name) current = upsert.text;
+        after.emplace_back(name, std::move(current));
+    }
+    for (const service::SourceFileSpec& upsert : batch.upserts)
+        if (std::none_of(before.begin(), before.end(),
+                         [&](const auto& file) { return file.first == upsert.name; }))
+            after.emplace_back(upsert.name, upsert.text);
+
+    auto cold_scan = [&](const FileSet& files) {
+        ServiceOptions so;
+        so.workers = 1;
+        AnalysisService fresh(so);
+        return fresh.scan(request_of(plugin, files)).result;
+    };
+    const AnalysisResult cold_before = cold_scan(before);
+    const AnalysisResult cold_after = cold_scan(after);
+    std::vector<std::string> want_added, want_removed;
+    cold_diff(cold_before.findings, cold_after.findings, want_added,
+              want_removed);
+
+    ServiceOptions so;
+    so.workers = workers;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    const ScanResponse opened = watch.open(request_of(plugin, before));
+    EXPECT_FALSE(opened.rejected);
+    EXPECT_EQ(render_json_report(opened.result),
+              render_json_report(cold_before));
+
+    service::WatchDelta delta = watch.edit(batch);
+    EXPECT_TRUE(delta.ok) << delta.error;
+    EXPECT_EQ(finding_keys(delta.added), want_added);
+    EXPECT_EQ(finding_keys(delta.removed), want_removed);
+    // The warm re-scan's full report equals the cold one, not just the diff.
+    EXPECT_EQ(render_json_report(delta.response.result),
+              render_json_report(cold_after));
+    return delta;
+}
+
 void expect_delta_matches_cold_rescan(int workers) {
-    using FileSet = std::vector<std::pair<std::string, std::string>>;
+    // A sanitizer regression and a removed file on a three-file project.
     const FileSet before = {
         {"app.php",
          "<?php include 'lib.php'; echo wrap($_GET['q']); echo $_GET['r'];"},
         {"lib.php", "<?php function wrap($x) { return htmlentities($x); }"},
         {"other.php", "<?php echo $_COOKIE['c'];"},
     };
-    const FileSet after = {
-        {"app.php",
-         "<?php include 'lib.php'; echo wrap($_GET['q']); echo $_GET['r'];"},
-        {"lib.php", "<?php function wrap($x) { return $x; }"},
-    };
-
-    auto cold_scan = [&](const FileSet& files) {
-        ServiceOptions so;
-        so.workers = 1;
-        AnalysisService fresh(so);
-        ScanRequest request;
-        request.plugin = "delta";
-        for (const auto& [name, text] : files)
-            request.files.push_back({name, text});
-        return fresh.scan(request).result.findings;
-    };
-    const std::vector<Finding> cold_before = cold_scan(before);
-    const std::vector<Finding> cold_after = cold_scan(after);
-    std::vector<std::string> want_added, want_removed;
-    cold_diff(cold_before, cold_after, want_added, want_removed);
-    ASSERT_FALSE(want_added.empty());    // the sanitizer regression
-    ASSERT_FALSE(want_removed.empty());  // the removed file's finding
-
-    ServiceOptions so;
-    so.workers = workers;
-    AnalysisService service(so);
-    service::WatchSession watch(service);
-    ScanRequest open;
-    open.plugin = "delta";
-    for (const auto& [name, text] : before)
-        open.files.push_back({name, text});
-    const ScanResponse opened = watch.open(std::move(open));
-    ASSERT_FALSE(opened.rejected);
-    EXPECT_EQ(finding_keys(opened.result.findings), finding_keys(cold_before));
-
     service::WatchEditBatch batch;
     batch.upserts.push_back(
         {"lib.php", "<?php function wrap($x) { return $x; }"});
     batch.removals.push_back("other.php");
-    const service::WatchDelta delta = watch.edit(batch);
-    ASSERT_TRUE(delta.ok) << delta.error;
+    const service::WatchDelta delta =
+        watch_edit_against_cold("delta", before, batch, workers);
     EXPECT_EQ(delta.changed_files, 2);
     EXPECT_GE(delta.cone_files, 3);  // lib + app (includes it) + other
-    EXPECT_EQ(finding_keys(delta.added), want_added);
-    EXPECT_EQ(finding_keys(delta.removed), want_removed);
-    // The warm re-scan's full report equals the cold one, not just the diff.
-    EXPECT_EQ(finding_keys(delta.response.result.findings),
-              finding_keys(cold_after));
+    EXPECT_FALSE(delta.added.empty());    // the sanitizer regression
+    EXPECT_FALSE(delta.removed.empty());  // the removed file's finding
+
+    // A vulnerability planted in one leaf include of a generated monorepo.
+    corpus::MonorepoOptions options;
+    options.scale = 0.25;
+    const corpus::MonorepoSource source = corpus::generate_monorepo(options);
+    service::WatchEditBatch plant;
+    for (const auto& [name, text] : source.files)
+        if (name == "plugin-001/inc/part-5.php")
+            plant.upserts.push_back(
+                {name, text + "\necho $_GET['watch_probe'];\n"});
+    ASSERT_EQ(plant.upserts.size(), 1u);
+    const service::WatchDelta planted =
+        watch_edit_against_cold("monorepo", source.files, plant, workers);
+    EXPECT_FALSE(planted.added.empty());
 }
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
