@@ -25,29 +25,6 @@ struct EvalDepthScope {
     int& depth_;
 };
 
-void append_ascii_lower(std::string& out, std::string_view s) {
-    for (char c : s)
-        out.push_back(c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A'))
-                                           : c);
-}
-
-/// Summary-store key for a function: ascii_lower(ref.qualified_name()) in a
-/// single allocation. Stage 1 recomputes this for every declared function on
-/// every scan, so the two-allocation spelling shows up in seeded rescans.
-std::string lowered_key(const php::FunctionRef& ref) {
-    std::string key;
-    if (!ref.decl) return "<null>";
-    if (ref.owner) {
-        key.reserve(ref.owner->name.size() + ref.decl->name.size() + 2);
-        append_ascii_lower(key, ref.owner->name);
-        key += "::";
-    } else {
-        key.reserve(ref.decl->name.size());
-    }
-    append_ascii_lower(key, ref.decl->name);
-    return key;
-}
-
 /// Best-effort static reconstruction of an include path: concatenates the
 /// literal fragments of concat chains / interpolated strings and ignores
 /// dynamic parts (dirname(__FILE__), constants, ...).
@@ -183,9 +160,10 @@ AnalysisResult Engine::analyze(const php::Project& project,
     // widens this to every declared function (in declaration order) so that
     // which summaries exist — and what they contain — never depends on which
     // caller reached them first.
+    bool all_summarized = false;
     if (options_.analyze_uncalled_functions) {
         if (options_.hermetic_summaries) {
-            summarize_all_declared();
+            all_summarized = summarize_all_declared();
             if (options_.assume_params_tainted_in_uncalled) summarize_uncalled();
         } else {
             summarize_uncalled();
@@ -244,11 +222,12 @@ AnalysisResult Engine::analyze(const php::Project& project,
     }
 
     // Stage 3: any function still without a summary (reached only through
-    // dynamic calls) is analyzed for 100% code coverage.
-    if (options_.analyze_uncalled_functions) {
+    // dynamic calls) is analyzed for 100% code coverage. Nothing is left
+    // when hermetic stage 1' summarized every declared function.
+    if (options_.analyze_uncalled_functions && !all_summarized) {
         for (const php::FunctionRef& ref : project.all_functions()) {
             if (!ref.decl) continue;
-            const std::string key = lowered_key(ref);
+            const std::string key = summary_key(ref);
             const FunctionSummary* s = summaries_.find(key);
             if (!s || !s->analyzed) summarize(ref);
         }
@@ -256,7 +235,7 @@ AnalysisResult Engine::analyze(const php::Project& project,
 
     stats_.uncalled_functions =
         static_cast<int>(project.uncalled_functions().size());
-    stats_.functions_summarized = static_cast<int>(summaries_.analyzed_names().size());
+    stats_.functions_summarized = static_cast<int>(summaries_.analyzed_count());
     result.stats = stats_;
 
     deduplicate(findings_);
@@ -290,16 +269,18 @@ void Engine::summarize_uncalled() {
     }
 }
 
-void Engine::summarize_all_declared() {
+bool Engine::summarize_all_declared() {
     // Hermetic stage 1' (service mode): summarize every declared function
     // context-free before any entry file runs. Cold and warm runs therefore
     // visit summaries in the same (declaration) order, and each summary is a
     // pure function of the project content its computation observed — the
     // property the cross-run seed/capture exchange relies on.
+    bool all = true;
     for (const php::FunctionRef& ref : project_->all_functions()) {
         if (!ref.decl) continue;
-        summarize(ref);
+        all = summarize(ref).analyzed && all;
     }
+    return all;
 }
 
 // ---------------------------------------------------------------------------
@@ -373,10 +354,9 @@ void Engine::note_shared_write(Symbol name, bool strong) {
 }
 
 bool Engine::apply_summary_seed(const std::string& key, FunctionSummary& slot) {
-    if (!exchange_.seeds) return false;
-    const auto it = exchange_.seeds->find(key);
-    if (it == exchange_.seeds->end()) return false;
-    const SummaryArtifact* artifact = it->second;
+    const SummaryArtifact* artifact =
+        exchange_.seeds ? exchange_.seeds->find(key) : nullptr;
+    if (!artifact) return false;
     slot = artifact->summary;
     slot.analyzed = true;
     slot.in_progress = false;
@@ -403,10 +383,9 @@ bool Engine::apply_summary_seed(const std::string& key, FunctionSummary& slot) {
 }
 
 bool Engine::apply_entry_seed(const std::string& key) {
-    if (!exchange_.seeds) return false;
-    const auto it = exchange_.seeds->find(key);
-    if (it == exchange_.seeds->end()) return false;
-    const SummaryArtifact* artifact = it->second;
+    const SummaryArtifact* artifact =
+        exchange_.seeds ? exchange_.seeds->find(key) : nullptr;
+    if (!artifact) return false;
     // The walk's cross-entry inputs must be unchanged: every shared slot it
     // observed must still hold a value with the captured fingerprint.
     // Checked against the live stores — state left by whatever mix of
@@ -1715,7 +1694,7 @@ TaintValue Engine::apply_user_function(const php::FunctionRef& ref,
 
 FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
                                    const std::vector<TaintValue>* first_call_args) {
-    const std::string key = lowered_key(ref);
+    const std::string key = summary_key(ref);
     FunctionSummary& summary = summaries_.slot(key);
     if (summary.analyzed || summary.in_progress) {
         ++obs::tls().summaries_reused;

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "config/knowledge.h"
@@ -229,7 +230,9 @@ private:
     // -- drivers -------------------------------------------------------------
     void analyze_entry_file(const php::ParsedFile& file);
     void summarize_uncalled();
-    void summarize_all_declared();
+    /// Hermetic stage 1'; true when every declared function ends up with
+    /// an analyzed summary (stage 3 then has nothing left to do).
+    bool summarize_all_declared();
     bool file_uses_oop(const php::ParsedFile& file) const;
 
     // -- cross-run summary capture ---------------------------------------------
@@ -439,7 +442,7 @@ private:
     std::vector<CaptureFrame> capture_stack_;
     /// Every summary this run installed (computed or seeded), so a later
     /// reuse of it can absorb its dependency record into the active frame.
-    std::map<std::string, const SummaryArtifact*> run_artifacts_;
+    std::unordered_map<std::string, const SummaryArtifact*> run_artifacts_;
 };
 
 }  // namespace phpsafe

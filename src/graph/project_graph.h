@@ -30,8 +30,8 @@
 // dead/backup files and vendor directories. And the watch scheduler's core
 // query: dependency_cone() — every file whose analysis could observe a
 // change to the given files, i.e. the reverse closure over include and use
-// edges. The cone is advisory (scheduling and reporting); the watch mode's
-// byte-identity guarantee never depends on its precision (service/watch.h).
+// edges. The cone is reported only; the watch mode's byte-identity
+// guarantee never depends on it (service/watch.h).
 //
 // Serialization round-trips through util/json_writer + util/json_reader so
 // a front-end can persist or diff graphs across scans.

@@ -34,7 +34,10 @@ FileIndex::FileIndex(std::vector<std::string_view> names)
     const auto order = [](const Entry& a, const Entry& b) {
         return a.key != b.key ? a.key < b.key : a.id < b.id;
     };
-    std::sort(by_name_.begin(), by_name_.end(), order);
+    // A name-sorted file set (a directory load, a watch session) is
+    // already in order.
+    if (!std::is_sorted(by_name_.begin(), by_name_.end(), order))
+        std::sort(by_name_.begin(), by_name_.end(), order);
     std::sort(by_basename_.begin(), by_basename_.end(), order);
 }
 

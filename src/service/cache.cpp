@@ -261,10 +261,9 @@ std::shared_ptr<const SummaryArtifact> AnalysisCache::find_summary(
     return std::static_pointer_cast<const SummaryArtifact>(payload);
 }
 
-void AnalysisCache::insert_summary(std::string_view preset,
-                                   std::string_view qualified_lower,
-                                   uint64_t declaring_hash,
-                                   SummaryArtifact artifact) {
+std::shared_ptr<const SummaryArtifact> AnalysisCache::insert_summary(
+    std::string_view preset, std::string_view qualified_lower,
+    uint64_t declaring_hash, SummaryArtifact artifact) {
     std::string key;
     key.assign(preset);
     key += kSep;
@@ -275,7 +274,8 @@ void AnalysisCache::insert_summary(std::string_view preset,
     const uint64_t bytes = approx_bytes(*shared);
     Shard& shard = shard_for(summaries_, key);
     auto lock = lock_shard(shard.mutex);
-    insert(shard, key, std::move(shared), bytes);
+    insert(shard, key, shared, bytes);
+    return shared;
 }
 
 std::shared_ptr<const AnalysisResult> AnalysisCache::find_result(

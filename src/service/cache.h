@@ -114,8 +114,10 @@ public:
     std::shared_ptr<const SummaryArtifact> find_summary(
         std::string_view preset, std::string_view qualified_lower,
         uint64_t declaring_hash);
-    void insert_summary(std::string_view preset, std::string_view qualified_lower,
-                        uint64_t declaring_hash, SummaryArtifact artifact);
+    /// Returns the stored handle (a SeedSet can hold the same artifact).
+    std::shared_ptr<const SummaryArtifact> insert_summary(
+        std::string_view preset, std::string_view qualified_lower,
+        uint64_t declaring_hash, SummaryArtifact artifact);
 
     // -- result pool ---------------------------------------------------------
     std::shared_ptr<const AnalysisResult> find_result(std::string_view preset,

@@ -351,31 +351,32 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
         // AST and result caching only).
         const bool summary_reuse = options.hermetic_summaries &&
                                    options.analyze_uncalled_functions;
-        std::map<std::string, const SummaryArtifact*> seeds;
-        std::vector<std::shared_ptr<const SummaryArtifact>> pins;
+        SeedSet fresh;
+        SeedSet& seeds = scan.request.seeds ? *scan.request.seeds : fresh;
         if (summary_reuse) {
             auto seed_span =
                 tracer.span("service.seed", {{"plugin", scan.request.plugin}});
-            // One memo per request: distinct dependency names resolve
-            // against the project tables once, not once per summary
-            // mentioning them (see DepCheckMemo).
+            // Only what the rebase could not vouch for is looked up in the
+            // pool, and DepCheckMemo admits what it may seed. One memo per
+            // request: distinct dependency names resolve against the
+            // project tables once, not once per summary mentioning them.
             DepCheckMemo dep_memo(project);
-            for (const php::FunctionRef& ref : project.all_functions()) {
-                if (!ref.decl) continue;
-                const std::string key = ascii_lower(ref.qualified_name());
-                // Duplicate declarations: the project tables keep the first
-                // one, so only it may be seeded.
-                if (seeds.count(key)) continue;
+            for (SeedSet::Probe& probe : seeds.rebase(project)) {
+                const php::FunctionRef* owner =
+                    probe.owner ? probe.owner
+                                : declaration_of(project, probe.key);
+                if (!owner) continue;
                 auto artifact = cache_.find_summary(
-                    preset_fp, key, project.file_named(ref.file)->content_hash);
+                    preset_fp, probe.key,
+                    project.file_named(owner->file)->content_hash);
                 if (!artifact) continue;
-                if (!dep_memo.validate(*artifact)) {
+                if (dep_memo.validate(*artifact)) {
+                    seeds.admit(probe.key, std::move(artifact));
+                } else {
                     cache_.note_invalidation();
                     ++response.summaries_invalidated;
-                    continue;
+                    seeds.reject(probe.key, std::move(artifact));
                 }
-                seeds.emplace(key, artifact.get());
-                pins.push_back(std::move(artifact));
             }
             response.summaries_seeded = static_cast<int>(seeds.size());
         }
@@ -397,26 +398,21 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
             response.result.cpu_seconds = thread_cpu_seconds() - cpu_start;
         }
 
-        // Admit this run's reusable summaries. A key already in the pool
-        // held an artifact that failed validation above; this one replaces
-        // it.
+        // Admit this run's reusable summaries, to the pool and to the
+        // requester's seed set (a set that dies with this scan needs none).
+        // A key already in the pool held an artifact that failed validation
+        // above; this one replaces it.
         if (summary_reuse) {
             for (auto& [key, artifact] : capture) {
                 if (!artifact.reusable) continue;
                 // The declaration the key names (the first one, as when
                 // seeding); entry-file keys and inherited lookups name none.
-                const std::string_view name = key;
-                const size_t sep = name.find("::");
-                const php::FunctionRef* owner =
-                    sep == std::string_view::npos
-                        ? project.find_function(name)
-                        : project.find_method(name.substr(0, sep),
-                                              name.substr(sep + 2));
-                if (!owner || !iequals(owner->qualified_name(), key)) continue;
-                const uint64_t owner_hash =
-                    project.file_named(owner->file)->content_hash;
-                cache_.insert_summary(preset_fp, key, owner_hash,
-                                      std::move(artifact));
+                const php::FunctionRef* owner = declaration_of(project, key);
+                if (!owner) continue;
+                auto stored = cache_.insert_summary(
+                    preset_fp, key, project.file_named(owner->file)->content_hash,
+                    std::move(artifact));
+                if (scan.request.seeds) seeds.admit(key, std::move(stored));
             }
         }
 

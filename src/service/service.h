@@ -9,8 +9,11 @@
 //   2. warm scan — unchanged files come from the file pool pre-parsed, and
 //      function summaries whose dependency records still validate against
 //      the new project are seeded into the engine (core/summaries.h
-//      SummaryExchange); only summaries invalidated by the edit are
-//      recomputed.
+//      SeedSet); only summaries invalidated by the edit are recomputed. A
+//      request that carries its own SeedSet (a watch session's) re-checks
+//      only what the edit since that set's snapshot can change; any other
+//      request starts from an empty set, which looks up and re-checks
+//      every declared function.
 //   3. cold scan — everything misses; the scan also populates the cache.
 //
 // Every path returns byte-identical findings: the engine runs in hermetic-
@@ -110,6 +113,16 @@ struct ScanRequest {
     /// still coalesces).
     int priority = 0;
     std::vector<SourceFileSpec> files;
+    /// The requester's seed set, carried across its scans (a watch
+    /// session's); null starts the scan from an empty one. The scan
+    /// rebases it onto this request's project and adds the run's reusable
+    /// captures. Not part of the fingerprint: a request that coalesces
+    /// onto another scan or hits the result pool leaves it as it was,
+    /// which is sound because rebase() diffs against the set's own
+    /// snapshot. The set belongs to one scan at a time: the requester
+    /// neither touches it nor submits another request carrying it until
+    /// this scan is done.
+    SeedSet* seeds = nullptr;
 };
 
 struct ScanResponse {
@@ -126,7 +139,9 @@ struct ScanResponse {
     bool rejected = false;
     int files_reused = 0;          ///< parsed files injected from the cache
     int summaries_seeded = 0;      ///< summaries installed without analysis
-    int summaries_invalidated = 0; ///< cache hits rejected by dep validation
+    /// Candidates looked up in the summary pool this scan and refused by
+    /// dependency validation.
+    int summaries_invalidated = 0;
     double wall_seconds = 0;
     /// 1-based order in which a worker picked this scan off the queue
     /// (0 for rejected/cancelled-before-dispatch responses) — observable

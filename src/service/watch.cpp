@@ -23,6 +23,14 @@ std::shared_ptr<const php::ParsedFile> parse_standalone(
     return project.files().empty() ? nullptr : project.files().front();
 }
 
+/// Canonical serialization of each finding (report/export.h), in order.
+std::vector<std::string> finding_keys(const std::vector<Finding>& findings) {
+    std::vector<std::string> keys;
+    keys.reserve(findings.size());
+    for (const Finding& f : findings) keys.push_back(finding_json(f));
+    return keys;
+}
+
 }  // namespace
 
 ScanRequest WatchSession::assemble_request() const {
@@ -43,8 +51,10 @@ ScanRequest WatchSession::assemble_request() const {
 }
 
 void WatchSession::refresh_state() {
+    // After open() every file is new to the graph; after an edit only the
+    // batch's upserts are (removals already left files_).
     bool relink = !graph_ || graph_stale_;
-    for (auto& [name, state] : files_) {
+    const auto refresh = [&](const std::string& name, FileState& state) {
         if (!state.parsed) {
             state.parsed = service_.cache().find_file(name, state.hash);
             if (!state.parsed) state.parsed = parse_standalone(name, state.text);
@@ -56,6 +66,11 @@ void WatchSession::refresh_state() {
                 relink = true;
             state.linked = state.parsed;
         }
+    };
+    if (!graph_) {
+        for (auto& [name, state] : files_) refresh(name, state);
+    } else {
+        for (const std::string& name : edited_) refresh(name, files_.at(name));
     }
     if (relink) {
         std::vector<std::shared_ptr<const php::ParsedFile>> parsed;
@@ -66,20 +81,24 @@ void WatchSession::refresh_state() {
         ++obs::tls().graph_builds;
     } else {
         // Structure-preserving edit (comments, whitespace, bodies): every
-        // node and edge stays valid, only content hashes moved.
-        for (const auto& [name, state] : files_) {
+        // node and edge stays valid, only the edited files' hashes moved.
+        for (const std::string& name : edited_) {
             const auto id = graph_->file_id(name);
             if (id != graph::ProjectGraph::kNoFile)
-                graph_->set_file_hash(id, state.parsed->content_hash);
+                graph_->set_file_hash(id, files_.at(name).parsed->content_hash);
         }
     }
+    edited_.clear();
     graph_stale_ = false;
 }
 
 ScanResponse WatchSession::open(ScanRequest request) {
     files_.clear();
+    edited_.clear();
     graph_.reset();
     baseline_.clear();
+    baseline_keys_.clear();
+    seeds_ = SeedSet{};
     active_ = false;
     graph_stale_ = true;
 
@@ -93,12 +112,15 @@ ScanResponse WatchSession::open(ScanRequest request) {
         files_.insert_or_assign(std::move(spec.name), std::move(state));
     }
 
-    ScanResponse response = service_.scan(assemble_request());
+    ScanRequest scan = assemble_request();
+    scan.seeds = &seeds_;
+    ScanResponse response = service_.scan(std::move(scan));
     if (response.rejected || response.cancelled) {
         files_.clear();
         return response;
     }
     baseline_ = response.result.findings;
+    baseline_keys_ = finding_keys(baseline_);
     refresh_state();
     active_ = true;
     return response;
@@ -137,7 +159,7 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
     }
 
     // The invalidated cone, on the pre-edit graph: everything that could
-    // observe the changed files. Advisory — see the header.
+    // observe the changed files. Reported only — see the header.
     std::vector<graph::ProjectGraph::FileId> changed_ids;
     int new_files = 0;
     for (const std::string& name : touched) {
@@ -163,14 +185,17 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
         state.hash = AnalysisService::spec_content_hash(spec);
         state.parsed = spec.parsed;
         state.text = spec.text;
+        edited_.push_back(spec.name);
     }
     for (const std::string& name : batch.removals) files_.erase(name);
     if (new_files > 0 || !batch.removals.empty()) graph_stale_ = true;
 
-    // Full re-scan: unchanged files ride as pinned ASTs, so the request
-    // costs O(edit) to assemble and the engine reuses every out-of-cone
-    // summary. Identical findings to a cold scan of the same content.
-    delta.response = service_.scan(assemble_request());
+    // Full re-scan: unchanged files ride as pinned ASTs, and the session's
+    // seed set re-checks only the summaries the batch can invalidate.
+    // Identical findings to a cold scan of the same content.
+    ScanRequest scan = assemble_request();
+    scan.seeds = &seeds_;
+    delta.response = service_.scan(std::move(scan));
     if (delta.response.rejected || delta.response.cancelled) {
         delta.error = delta.response.rejected
                           ? "re-scan rejected by admission control"
@@ -179,32 +204,36 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
         // client to re-open.
         active_ = false;
         baseline_.clear();
+        baseline_keys_.clear();
         return delta;
     }
 
     // Delta findings: canonical-serialization multiset diff, both sides in
     // their result order. Byte-identical to diffing two full cold scans.
+    // Each finding is serialized once: the baseline's keys are kept.
     const std::vector<Finding>& now = delta.response.result.findings;
-    std::multiset<std::string> before_keys;
-    for (const Finding& f : baseline_) before_keys.insert(finding_json(f));
-    std::multiset<std::string> after_keys;
-    for (const Finding& f : now) after_keys.insert(finding_json(f));
-    for (const Finding& f : now) {
-        const auto it = before_keys.find(finding_json(f));
+    std::vector<std::string> now_keys = finding_keys(now);
+    std::multiset<std::string_view> before_keys(baseline_keys_.begin(),
+                                                baseline_keys_.end());
+    std::multiset<std::string_view> after_keys(now_keys.begin(),
+                                               now_keys.end());
+    for (size_t i = 0; i < now.size(); ++i) {
+        const auto it = before_keys.find(now_keys[i]);
         if (it != before_keys.end())
             before_keys.erase(it);
         else
-            delta.added.push_back(f);
+            delta.added.push_back(now[i]);
     }
-    for (const Finding& f : baseline_) {
-        const auto it = after_keys.find(finding_json(f));
+    for (size_t i = 0; i < baseline_.size(); ++i) {
+        const auto it = after_keys.find(baseline_keys_[i]);
         if (it != after_keys.end())
             after_keys.erase(it);
         else
-            delta.removed.push_back(f);
+            delta.removed.push_back(baseline_[i]);
     }
 
     baseline_ = now;
+    baseline_keys_ = std::move(now_keys);
     refresh_state();
     delta.ok = true;
     return delta;

@@ -20,21 +20,25 @@
 // computed from content hashes alone. The invalidated cone — every file
 // that transitively includes or uses a changed file, via
 // ProjectGraph::dependency_cone — is computed per batch and reported in
-// the delta (cone_files/cone_functions, plus the watch_* obs counters).
+// the delta (cone_files/cone_functions, plus the watch_* obs counters); no
+// analysis decision reads it.
 //
-// Soundness: the cone is *advisory*. The re-scan always covers the full
-// updated file set through the same AnalysisService::perform_scan path as
-// a cold scan, so delta findings are byte-identical to the diff of two
-// full cold re-scans by the service's standing warm==cold invariant — at
-// any PHPSAFE_JOBS, any cache state, any preset. What the cone bounds is
-// *cost*, not correctness: out-of-cone files ride through as pinned ASTs
-// with cached summaries whose dependency validation is memoized
-// (DepCheckMemo, core/summaries.h — the one summary-reuse gate), so
-// re-analysis work scales with the cone, not the tree (perfbench's
-// watch-edit workload measures the per-edit cost). A cone-gated scan that skipped out-of-cone files
-// outright would be unsound: a changed file can shadow a declaration an
-// out-of-cone summary resolved, which only dependency validation against
-// the full project catches.
+// Soundness: the re-scan always covers the full updated file set through
+// the same AnalysisService::perform_scan path as a cold scan, so delta
+// findings are byte-identical to the diff of two full cold re-scans by the
+// service's standing warm==cold invariant — at any PHPSAFE_JOBS, any cache
+// state, any preset. What follows the edit is cost: the session owns a
+// SeedSet (core/summaries.h) that rides along with every scan it submits.
+// SeedSet::rebase diffs the new project against the set's own snapshot and
+// drops only the seeds whose recorded dependencies — file contents, name
+// resolutions, include hints — the edit can change, so DepCheckMemo (the
+// one summary-reuse gate) re-checks those and nothing else, and every
+// other summary is seeded without a walk (perfbench's watch-edit workload
+// measures the per-edit cost). A scan answered from the result pool leaves
+// the set untouched; the next rebase diffs from the older snapshot. A
+// cone-gated scan that skipped out-of-cone files outright would be
+// unsound: a changed file can shadow a declaration an out-of-cone summary
+// resolved, which the rebase catches by name.
 #pragma once
 
 #include <map>
@@ -91,6 +95,9 @@ public:
     /// The current project graph (null before open()).
     const graph::ProjectGraph* graph() const noexcept { return graph_.get(); }
 
+    /// The summary seeds the next edit starts from.
+    const SeedSet& seeds() const noexcept { return seeds_; }
+
     /// Findings of the most recent scan.
     const std::vector<Finding>& baseline_findings() const noexcept {
         return baseline_;
@@ -122,13 +129,19 @@ private:
     /// Pins ASTs of edited files, then relinks the graph — unless every
     /// edited file kept its graph structure (structure_equals against the
     /// parse the graph was linked from), in which case the linked graph is
-    /// reused and only node hashes refresh. Runs after every scan.
+    /// reused and only the edited files' node hashes refresh. Runs after
+    /// every scan and touches only the edited files unless it relinks.
     void refresh_state();
 
     AnalysisService& service_;
     ScanRequest base_;  ///< plugin/preset/priority (files unused)
     std::map<std::string, FileState> files_;
+    /// Upserted names since the last refresh_state().
+    std::vector<std::string> edited_;
     std::vector<Finding> baseline_;
+    std::vector<std::string> baseline_keys_;  ///< finding_json of each
+    /// Summary seeds carried from scan to scan (see the header).
+    SeedSet seeds_;
     std::unique_ptr<graph::ProjectGraph> graph_;
     bool active_ = false;
     /// Files were added or removed since the last relink — the graph must

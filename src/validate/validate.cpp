@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "util/worker_pool.h"
@@ -37,12 +38,12 @@ std::string finding_signature(const Finding& finding) {
     return sig;
 }
 
-/// Hermetic summary artifacts captured from the original project, offered
-/// to every fix verification for seeding. Only set when the hermetic
-/// baseline scan reproduced the caller's result byte-for-byte — the
-/// precondition for judging seeded hermetic rescans against that result.
+/// The hermetic capture of the original project as a SeedSet, offered to
+/// every fix verification for seeding. Only set when the hermetic baseline
+/// scan reproduced the caller's result byte-for-byte — the precondition for
+/// judging seeded hermetic rescans against that result.
 struct SeedContext {
-    const std::map<std::string, SummaryArtifact>* capture = nullptr;
+    const SeedSet* seeds = nullptr;
     AnalysisOptions hermetic;
 };
 
@@ -58,14 +59,16 @@ struct SeedContext {
 ///
 /// When a SeedContext is supplied, the rescan seeds exactly the captured
 /// artifacts that a DepCheckMemo over the patched fork accepts — the same
-/// gate the service applies across scans. Every artifact whose computation
-/// read the patched file fails its kFile hash, and every name resolution
-/// the patch moved (an added, removed or shadowing declaration) fails its
-/// re-resolution, so only summaries whose inputs are byte-identical on the
-/// patched project are reused. Entry-file artifacts carry a second gate:
-/// the engine replays one only while every shared slot (global / property)
-/// the walk observed still holds the captured value, so cross-entry state
-/// flows re-run exactly when the patch actually changed their inputs.
+/// gate the service applies across scans. A copy of the set is rebased onto
+/// the fork: it drops every artifact whose computation read the patched
+/// file or resolved a name the patch can move (an added, removed or
+/// shadowing declaration), DepCheckMemo re-checks only those, and every
+/// other artifact seeds without a walk — so only summaries whose inputs are
+/// byte-identical on the patched project are reused. Entry-file artifacts
+/// carry a second gate: the engine replays one only while every shared slot
+/// (global / property) the walk observed still holds the captured value, so
+/// cross-entry state flows re-run exactly when the patch actually changed
+/// their inputs.
 /// The kQuickfixSoundness fuzz oracle independently re-verifies accepted
 /// fixes against a from-scratch rebuild, so any divergence the gates missed
 /// surfaces as an oracle violation.
@@ -88,14 +91,15 @@ bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
 
     const Analyzer analyzer = Analyzer::borrowing(kb, options);
     ScanResult rescan;
-    if (seed.capture) {
-        // One memo per fix: a memo is not thread-safe, and fixes verify in
-        // parallel.
+    if (seed.seeds) {
+        // One copy and one memo per fix: neither is thread-safe to share,
+        // and fixes verify in parallel. The copy shares the original's
+        // dependency index.
+        SeedSet seeds = *seed.seeds;
         DepCheckMemo memo(patched);
-        std::map<std::string, const SummaryArtifact*> seeds;
-        for (const auto& [name, artifact] : *seed.capture)
-            if (artifact.reusable && memo.validate(artifact))
-                seeds.emplace_hint(seeds.end(), name, &artifact);
+        for (const SeedSet::Probe& probe : seeds.rebase(patched))
+            if (probe.held && memo.validate(*probe.held))
+                seeds.admit(probe.key, probe.held);
         SummaryExchange exchange;
         exchange.seeds = &seeds;
         rescan = analyzer.scan(patched, seed.hermetic, exchange);
@@ -229,12 +233,13 @@ ValidationReport validate_result(const php::Project& project,
         // byte-for-byte — otherwise every verification falls back to a
         // plain full rescan.
         SeedContext seed;
-        std::map<std::string, SummaryArtifact> capture;
+        std::optional<SeedSet> seeds;
         if (report.fixes_proposed > 0) {
             seed.hermetic = options.to_builder()
                                 .hermetic_summaries(true)
                                 .capture_entry_files(true)
                                 .build();
+            std::map<std::string, SummaryArtifact> capture;
             SummaryExchange exchange;
             exchange.capture = &capture;
             const Analyzer analyzer = Analyzer::borrowing(kb, options);
@@ -246,7 +251,10 @@ ValidationReport validate_result(const php::Project& project,
             for (size_t i = 0; reproduced && i < result.findings.size(); ++i)
                 reproduced = finding_signature(baseline.result.findings[i]) ==
                              finding_signature(result.findings[i]);
-            if (reproduced) seed.capture = &capture;
+            if (reproduced) {
+                seeds.emplace(project, std::move(capture));
+                seed.seeds = &*seeds;
+            }
         }
 
         pool.run(n, [&](size_t i) {

@@ -14,6 +14,7 @@
 
 #include "php/walk.h"
 #include "phpsafe.h"
+#include "service/watch.h"
 
 // Global allocation counter for the no-allocation assertions. Counting
 // operator new in this TU observes every heap allocation the process makes
@@ -253,6 +254,53 @@ struct RecordingObserver : Engine::Observer {
     }
 };
 
+TEST(ObsCountersTest, BodyEditWalksOnlyArtifactsNamingTheEditedFile) {
+    corpus::MonorepoOptions options;
+    options.scale = 0.25;
+    const corpus::MonorepoSource repo = corpus::generate_monorepo(options);
+    service::ScanRequest request;
+    request.plugin = "monorepo";
+    for (const auto& [name, text] : repo.files) request.files.push_back({name, text});
+    service::AnalysisService service;
+    service::WatchSession watch(service);
+    ASSERT_FALSE(watch.open(request).rejected);
+
+    // A body save to a shared library that many part functions call.
+    const std::string lib = "framework/lib-2.php";
+    std::string text;
+    for (const auto& [name, body] : repo.files)
+        if (name == lib) text = body;
+    const std::string from = "htmlspecialchars($value)";
+    ASSERT_NE(text.find(from), std::string::npos);
+    text.replace(text.find(from), from.size(), "htmlspecialchars(trim($value))");
+
+    // The seeds recording the library: its own functions and their callers.
+    const php::Project project = service.build_project(watch.request());
+    uint64_t naming = 0, callers = 0;
+    for (const std::string& key : watch.seeds().keys()) {
+        const std::vector<SummaryDep>& deps = watch.seeds().find(key)->deps;
+        if (std::none_of(deps.begin(), deps.end(), [&](const SummaryDep& dep) {
+                return dep.kind == SummaryDep::Kind::kFile && dep.name == lib;
+            }))
+            continue;
+        ++naming;
+        callers += declaration_of(project, key)->file != lib;
+    }
+
+    service::WatchEditBatch batch;
+    batch.upserts.push_back({lib, text});
+    const service::WatchDelta delta = watch.edit(batch);
+    ASSERT_TRUE(delta.ok) << delta.error;
+    // Only those seeds are re-checked. The library's own functions miss the
+    // pool (their file's hash moved); each caller's pool entry is walked
+    // and refused. Every other function keeps its seed unwalked.
+    EXPECT_GT(callers, 0u);
+    EXPECT_EQ(delta.response.counters.cache_dep_walks, callers);
+    EXPECT_LE(callers, naming);
+    EXPECT_LT(naming * 4, project.all_functions().size());
+    EXPECT_EQ(delta.response.summaries_invalidated, static_cast<int>(callers));
+}
+
 TEST(ObsObserverTest, DispatchOrderOnASmallProject) {
     php::Project project("demo");
     project.add_file("a.php", R"PHP(<?php
@@ -312,6 +360,50 @@ TEST(ObsObserverTest, ObserverIsOptionalAndDetachable) {
 
     EXPECT_EQ(without.findings.size(), with.findings.size());
     EXPECT_EQ(with.findings.size(), detached.findings.size());
+}
+
+/// Summaries the run computed after its last entry file ended: stage 3.
+int summaries_after_last_file(const std::vector<std::string>& events) {
+    size_t last_end = 0;
+    for (size_t i = 0; i < events.size(); ++i)
+        if (events[i].rfind("end ", 0) == 0 || events[i].rfind("fail ", 0) == 0)
+            last_end = i;
+    int count = 0;
+    for (size_t i = last_end; i < events.size(); ++i)
+        count += events[i].rfind("summary ", 0) == 0;
+    return count;
+}
+
+TEST(ObsObserverTest, HermeticStageOneLeavesStageThreeNothing) {
+    // m() is called, so stage 1 skips it, but on an unknown receiver with
+    // two candidate classes, so no walk reaches it: only stage 3 does.
+    php::Project project("demo");
+    project.add_file("a.php", R"PHP(<?php
+class A { function m($x) { echo $x; } }
+class B { function m($x) { return $x; } }
+$o = make_object();
+$o->m($_GET['q']);
+)PHP");
+    DiagnosticSink sink;
+    project.parse_all(sink);
+
+    Tool tool = make_phpsafe_tool();
+    RecordingObserver plain;
+    Engine engine(tool.kb, tool.options);
+    engine.set_observer(&plain);
+    engine.analyze(project);
+    EXPECT_EQ(summaries_after_last_file(plain.events), 2)
+        << ::testing::PrintToString(plain.events);
+
+    // Hermetic stage 1' summarizes every declaration up front.
+    tool.options.hermetic_summaries = true;
+    RecordingObserver hermetic;
+    Engine hermetic_engine(tool.kb, tool.options);
+    hermetic_engine.set_observer(&hermetic);
+    const AnalysisResult result = hermetic_engine.analyze(project);
+    EXPECT_EQ(summaries_after_last_file(hermetic.events), 0)
+        << ::testing::PrintToString(hermetic.events);
+    EXPECT_EQ(result.stats.functions_summarized, 2);
 }
 
 TEST(ObsObserverTest, RunToolFillsCountersFromTheRun) {

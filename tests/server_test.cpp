@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/analyzers.h"
+#include "core/summaries.h"
 #include "corpus/generator.h"
 #include "report/export.h"
 #include "service/cache.h"
@@ -30,6 +32,7 @@
 #include "service/service.h"
 #include "service/watch.h"
 #include "util/json_reader.h"
+#include "util/strings.h"
 
 namespace phpsafe {
 namespace {
@@ -624,17 +627,9 @@ ScanRequest request_of(const std::string& plugin, const FileSet& files) {
     return request;
 }
 
-/// The watch-mode identity gate: a session opened over `before` at
-/// `workers` and sent `batch` must answer with exactly the delta a client
-/// diffing two cold single-worker scans would compute, and its post-edit
-/// report must equal the cold re-scan's byte for byte. Returns the delta
-/// for case-specific checks.
-service::WatchDelta watch_edit_against_cold(const std::string& plugin,
-                                            const FileSet& before,
-                                            const service::WatchEditBatch& batch,
-                                            int workers) {
-    // The tree after the batch: upserts replace in place or append,
-    // removals drop.
+/// The tree after `batch`: upserts replace in place or append, removals
+/// drop.
+FileSet tree_after(const FileSet& before, const service::WatchEditBatch& batch) {
     FileSet after;
     for (const auto& [name, text] : before) {
         if (std::find(batch.removals.begin(), batch.removals.end(), name) !=
@@ -649,15 +644,29 @@ service::WatchDelta watch_edit_against_cold(const std::string& plugin,
         if (std::none_of(before.begin(), before.end(),
                          [&](const auto& file) { return file.first == upsert.name; }))
             after.emplace_back(upsert.name, upsert.text);
+    return after;
+}
 
-    auto cold_scan = [&](const FileSet& files) {
-        ServiceOptions so;
-        so.workers = 1;
-        AnalysisService fresh(so);
-        return fresh.scan(request_of(plugin, files)).result;
-    };
-    const AnalysisResult cold_before = cold_scan(before);
-    const AnalysisResult cold_after = cold_scan(after);
+/// A scan of `files` on a fresh single-worker service.
+AnalysisResult cold_scan(const std::string& plugin, const FileSet& files) {
+    ServiceOptions so;
+    so.workers = 1;
+    AnalysisService fresh(so);
+    return fresh.scan(request_of(plugin, files)).result;
+}
+
+/// The watch-mode identity gate: a session opened over `before` at
+/// `workers` and sent `batch` must answer with exactly the delta a client
+/// diffing two cold single-worker scans would compute, and its post-edit
+/// report must equal the cold re-scan's byte for byte. Returns the delta
+/// for case-specific checks.
+service::WatchDelta watch_edit_against_cold(const std::string& plugin,
+                                            const FileSet& before,
+                                            const service::WatchEditBatch& batch,
+                                            int workers) {
+    const FileSet after = tree_after(before, batch);
+    const AnalysisResult cold_before = cold_scan(plugin, before);
+    const AnalysisResult cold_after = cold_scan(plugin, after);
     std::vector<std::string> want_added, want_removed;
     cold_diff(cold_before.findings, cold_after.findings, want_added,
               want_removed);
@@ -721,6 +730,163 @@ TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
     expect_delta_matches_cold_rescan(4);
+}
+
+/// The summary keys a full DepCheckMemo pass over the service's summary
+/// pool would seed for `request` (what a request without a seed set looks
+/// up): the first declaration of each key, looked up by its declaring
+/// file's hash.
+std::vector<std::string> full_pass_seed_keys(AnalysisService& service,
+                                             const ScanRequest& request) {
+    const php::Project project = service.build_project(request);
+    Tool tool = make_phpsafe_tool();
+    tool.options.hermetic_summaries = true;
+    const std::string preset = tool.options.fingerprint();
+    DepCheckMemo memo(project);
+    std::set<std::string> seen, seeded;
+    for (const php::FunctionRef& ref : project.all_functions()) {
+        const std::string key = ascii_lower(ref.qualified_name());
+        if (!seen.insert(key).second) continue;
+        const auto artifact = service.cache().find_summary(
+            preset, key, project.file_named(ref.file)->content_hash);
+        if (artifact && memo.validate(*artifact)) seeded.insert(key);
+    }
+    return {seeded.begin(), seeded.end()};
+}
+
+TEST(WatchModeTest, SeedSetFollowsEditsAndEqualsFullPass) {
+    // The scale-0.25 monorepo plus a few files whose summaries depend on an
+    // unresolved include and on an inherited method.
+    corpus::MonorepoOptions options;
+    options.scale = 0.25;
+    FileSet tree = corpus::generate_monorepo(options).files;
+    tree.emplace_back("plugin-000/inc/helpers.php",
+                      "<?php\nfunction helper_x($v) {\n    include 'util.php';\n"
+                      "    return $v;\n}\nfunction widget_out($x) {\n"
+                      "    $w = new Widget();\n    return $w->render($x);\n}\n");
+    tree.emplace_back("plugin-000/inc/base.php",
+                      "<?php\nclass Base {\n    function render($v) { return "
+                      "htmlspecialchars($v); }\n}\n");
+    tree.emplace_back("plugin-000/inc/widget.php",
+                      "<?php\nclass Widget extends Base {\n}\n");
+    tree.emplace_back("plugin-000/inc/view.php",
+                      "<?php\necho widget_out($_GET['w']);\n"
+                      "echo helper_x($_GET['h']);\n");
+    std::sort(tree.begin(), tree.end());
+    const auto text_of = [&](const std::string& name) {
+        for (const auto& [file, text] : tree)
+            if (file == name) return text;
+        ADD_FAILURE() << "no file " << name;
+        return std::string();
+    };
+    const std::string part5 = text_of("plugin-001/inc/part-5.php");
+    const std::string part3 = text_of("plugin-002/inc/part-3.php");
+    const std::string part2 = text_of("plugin-003/inc/part-2.php");
+    const auto replaced = [](std::string text, const std::string& from,
+                             const std::string& to) {
+        const size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? text : text.replace(at, from.size(), to);
+    };
+    const auto upsert = [](const std::string& name, const std::string& text) {
+        service::WatchEditBatch batch;
+        batch.upserts.push_back({name, text});
+        return batch;
+    };
+    const auto remove = [](const std::string& name) {
+        service::WatchEditBatch batch;
+        batch.removals.push_back(name);
+        return batch;
+    };
+    std::vector<std::pair<std::string, service::WatchEditBatch>> edits;
+    edits.emplace_back("body save",
+                       upsert("plugin-001/inc/part-5.php",
+                              replaced(part5, "($value);", "(trim($value));")));
+    edits.emplace_back("function added",
+                       upsert("plugin-002/inc/part-3.php",
+                              part3 + "function p2_part3_extra($v) { return "
+                                      "fw_helper_3($v); }\n"));
+    edits.emplace_back("function removed (a result-pool hit)",
+                       upsert("plugin-002/inc/part-3.php", part3));
+    edits.emplace_back("new file shadowing a function",
+                       upsert("aaa/shadow.php",
+                              "<?php\nfunction fw_helper_0($value) { return "
+                              "$value; }\n"));
+    edits.emplace_back("new file shadowing an inherited method's class",
+                       upsert("aaa/base.php",
+                              "<?php\nclass Base {\n    function render($v) { "
+                              "return $v; }\n}\n"));
+    edits.emplace_back("file added with an include target's basename",
+                       upsert("zz/util.php",
+                              "<?php\nfunction util_f($v) { return $v; }\n"));
+    {
+        // With a body save elsewhere, so the scan misses the result pool
+        // and the rejected helper_x candidate must revive.
+        service::WatchEditBatch batch = remove("zz/util.php");
+        batch.upserts.push_back({"plugin-004/inc/part-1.php",
+                                 text_of("plugin-004/inc/part-1.php") +
+                                     "// saved\n"});
+        edits.emplace_back("that file removed", std::move(batch));
+    }
+    {
+        service::WatchEditBatch batch = remove("aaa/shadow.php");
+        batch.upserts.push_back(
+            {"plugin-003/inc/part-2.php", part2 + "// saved\n"});
+        edits.emplace_back("shadow removed with a body save", std::move(batch));
+    }
+    edits.emplace_back("revert to earlier content",
+                       upsert("plugin-001/inc/part-5.php", part5));
+    edits.emplace_back("class shadow removed", remove("aaa/base.php"));
+
+    ServiceOptions so;
+    so.workers = 2;
+    AnalysisService service(so);
+    service::WatchSession watch(service);
+    ASSERT_FALSE(watch.open(request_of("monorepo", tree)).rejected);
+    EXPECT_EQ(watch.seeds().keys(),
+              full_pass_seed_keys(service, watch.request()));
+    // An unresolved include keeps helper_x reusable until util.php exists.
+    EXPECT_NE(watch.seeds().find("helper_x"), nullptr);
+    AnalysisResult before = cold_scan("monorepo", tree);
+    int result_hits = 0;
+    bool added_any = false;
+    for (const auto& [what, batch] : edits) {
+        SCOPED_TRACE(what);
+        tree = tree_after(tree, batch);
+        std::sort(tree.begin(), tree.end());  // the session's file order
+        const AnalysisResult after = cold_scan("monorepo", tree);
+        std::vector<std::string> want_added, want_removed;
+        cold_diff(before.findings, after.findings, want_added, want_removed);
+        // What a full pass over the pool would seed for the edited tree.
+        const size_t full_pass =
+            full_pass_seed_keys(service, request_of("monorepo", tree)).size();
+        const service::WatchDelta delta = watch.edit(batch);
+        ASSERT_TRUE(delta.ok) << delta.error;
+        EXPECT_EQ(finding_keys(delta.added), want_added);
+        EXPECT_EQ(finding_keys(delta.removed), want_removed);
+        EXPECT_EQ(render_json_report(delta.response.result),
+                  render_json_report(after));
+        added_any = added_any || !delta.added.empty();
+        if (what == "file added with an include target's basename") {
+            EXPECT_EQ(watch.seeds().find("helper_x"), nullptr);
+        } else if (what == "that file removed") {
+            EXPECT_NE(watch.seeds().find("helper_x"), nullptr);
+        }
+        if (delta.response.from_result_cache) {
+            // The set skipped this scan; the next rebase diffs from its
+            // own snapshot.
+            ++result_hits;
+        } else {
+            EXPECT_EQ(delta.response.summaries_seeded,
+                      static_cast<int>(full_pass));
+            EXPECT_EQ(watch.seeds().keys(),
+                      full_pass_seed_keys(service, watch.request()));
+        }
+        before = after;
+    }
+    EXPECT_EQ(result_hits, 1);
+    EXPECT_TRUE(added_any);  // the class shadow drops a sanitizer
+    EXPECT_EQ(service.cache_stats().evictions, 0u);
 }
 
 TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {

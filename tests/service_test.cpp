@@ -342,6 +342,41 @@ TEST(ServiceTest, DepValidationMemoCollapsesRepeatedWalks) {
               warm.counters.cache_dep_walk_memo_hits);
 }
 
+TEST(ServiceTest, SeedSetRechecksNothingOnUnrelatedEditAndEverythingOnReorder) {
+    // A requester's SeedSet skips DepCheckMemo for seeds an edit cannot
+    // reach, but a file set whose surviving files change order moves
+    // first-declaration-wins lookups, so every seed is looked up again.
+    ServiceOptions options;
+    options.workers = 1;
+    AnalysisService service(options);
+    SeedSet seeds;
+    ScanRequest request = layered_request("return $v;");
+    request.seeds = &seeds;
+    const ScanResponse opened = service.scan(request);
+    EXPECT_EQ(seeds.size(), 2u);  // wrap() and inner(), captured
+
+    ScanRequest edited = request;
+    edited.files[2].text += " // nothing depends on main.php";
+    const ScanResponse quiet = service.scan(edited);
+    EXPECT_EQ(quiet.summaries_seeded, 2);
+    EXPECT_EQ(quiet.counters.cache_dep_walks, 0u);
+
+    ScanRequest reordered = edited;
+    std::swap(reordered.files[0], reordered.files[1]);
+    const ScanResponse moved = service.scan(reordered);
+    EXPECT_FALSE(moved.from_result_cache);
+    EXPECT_EQ(moved.summaries_seeded, 2);
+    EXPECT_EQ(moved.counters.cache_dep_walks, 2u);
+
+    ScanRequest plain = reordered;
+    plain.seeds = nullptr;
+    AnalysisService cold;
+    EXPECT_EQ(render_json_report(moved.result),
+              render_json_report(cold.scan(plain).result));
+    EXPECT_EQ(render_json_report(opened.result),
+              render_json_report(quiet.result));
+}
+
 // ---------------------------------------------------------------------------
 // JsonReader (the daemon's request decoder)
 // ---------------------------------------------------------------------------
