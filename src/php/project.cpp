@@ -228,10 +228,15 @@ std::shared_ptr<const ParsedFile> Project::parse_file(std::string name,
                                                       DiagnosticSink& sink,
                                                       double& lex_seconds) {
     auto pf = std::make_shared<ParsedFile>();
+    // A model takes 5-6 arena bytes per source byte (4.7 on the corpus, 6.1
+    // on the monorepo, 8.7 at most), so this first block holds nearly every
+    // file's model whole, and a 100-byte file does not pin a 64 KiB block.
+    pf->arena = Arena(text.size() * 8 + 1024);
     pf->content_hash = content_hash(text);
     pf->text_bytes = text.size();
     pf->source = std::make_unique<SourceFile>(name, std::move(text));
     const obs::CounterDelta delta;
+    const int fatals_before = sink.fatal_count();
     Parser parser(*pf->source, pf->arena, sink);
     pf->unit = parser.parse();
     pf->ast_nodes = delta.take().ast_nodes;
@@ -242,8 +247,9 @@ std::shared_ptr<const ParsedFile> Project::parse_file(std::string name,
     obs::tls().alloc_arena_bytes += pf->arena.bytes_allocated();
     obs::tls().alloc_arena_blocks += pf->arena.block_count();
     obs::tls().alloc_string_bytes += pf->arena.string_bytes();
-    for (const std::string& failed : sink.failed_files())
-        if (failed == name) pf->parse_failed = true;
+    // Every fatal raised while this file parsed is this file's: the parser
+    // and its interpolated-expression sub-parses report under its name.
+    pf->parse_failed = sink.fatal_count() > fatals_before;
     return pf;
 }
 

@@ -13,6 +13,7 @@
 //     trivially-destructible objects cost nothing at teardown.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -29,6 +30,15 @@ public:
     static constexpr size_t kDefaultBlockBytes = 64 * 1024;
 
     Arena() = default;
+
+    /// An arena whose first block holds `first_block_bytes` (capped at
+    /// kDefaultBlockBytes); later blocks have the default size. A caller
+    /// that can estimate its need sizes the first block to fit it: a
+    /// default block under a small file's model is mostly untouched tail,
+    /// and a block carved from freed heap memory keeps that tail's stale
+    /// pages resident.
+    explicit Arena(size_t first_block_bytes) noexcept
+        : first_block_bytes_(std::min(first_block_bytes, kDefaultBlockBytes)) {}
 
     /// The thread's current arena, read by default-constructed
     /// ArenaAllocators. Nodes hold allocator-aware vectors; binding the
@@ -106,6 +116,18 @@ public:
         return {mem, s.size()};
     }
 
+    /// store() for text built in place rather than copied: reserves `size`
+    /// string bytes, lets `fill(char*)` write all of them, and returns the
+    /// view. Counted exactly as store() counts the same bytes.
+    template <typename Fill>
+    std::string_view store_with(size_t size, Fill&& fill) {
+        if (size == 0) return {};
+        char* mem = static_cast<char*>(allocate(size, 1));
+        fill(mem);
+        string_bytes_ += size;
+        return {mem, size};
+    }
+
     /// Bytes handed out to callers (the LRU pools charge this).
     uint64_t bytes_allocated() const noexcept { return bytes_allocated_; }
     /// Heap blocks backing the arena — the arena's entire malloc traffic.
@@ -157,11 +179,13 @@ private:
             bytes_allocated_ += size;
             return p;
         }
-        Block* block = new_block(kDefaultBlockBytes);
+        const size_t payload =
+            blocks_ ? kDefaultBlockBytes : std::max(first_block_bytes_, size + align);
+        Block* block = new_block(payload);
         block->next = blocks_;
         blocks_ = block;
         cursor_ = reinterpret_cast<char*>(block) + sizeof(Block);
-        end_ = cursor_ + kDefaultBlockBytes;
+        end_ = cursor_ + payload;
         char* p = align_up(cursor_, align);
         cursor_ = p + size;
         bytes_allocated_ += size;
@@ -184,6 +208,7 @@ private:
     }
 
     void steal(Arena& other) noexcept {
+        first_block_bytes_ = other.first_block_bytes_;
         blocks_ = std::exchange(other.blocks_, nullptr);
         cursor_ = std::exchange(other.cursor_, nullptr);
         end_ = std::exchange(other.end_, nullptr);
@@ -194,6 +219,7 @@ private:
         block_count_ = std::exchange(other.block_count_, 0);
     }
 
+    size_t first_block_bytes_ = kDefaultBlockBytes;
     Block* blocks_ = nullptr;
     char* cursor_ = nullptr;
     char* end_ = nullptr;

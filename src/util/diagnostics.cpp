@@ -15,22 +15,13 @@ std::string to_string(Severity s) {
 }
 
 void DiagnosticSink::add(Severity severity, SourceLocation loc, std::string message) {
+    if (severity == Severity::kFatal) ++fatal_count_;
     all_.push_back(Diagnostic{severity, std::move(loc), std::move(message)});
 }
 
 int DiagnosticSink::count(Severity severity) const noexcept {
     return static_cast<int>(std::count_if(all_.begin(), all_.end(),
         [severity](const Diagnostic& d) { return d.severity == severity; }));
-}
-
-std::vector<std::string> DiagnosticSink::failed_files() const {
-    std::vector<std::string> files;
-    for (const Diagnostic& d : all_) {
-        if (d.severity != Severity::kFatal) continue;
-        if (std::find(files.begin(), files.end(), d.location.file) == files.end())
-            files.push_back(d.location.file);
-    }
-    return files;
 }
 
 }  // namespace phpsafe

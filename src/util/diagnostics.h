@@ -36,15 +36,20 @@ public:
     const std::vector<Diagnostic>& diagnostics() const noexcept { return all_; }
 
     int count(Severity severity) const noexcept;
-    bool has_fatal() const noexcept { return count(Severity::kFatal) > 0; }
+    /// kFatal diagnostics recorded so far, kept as a running count: a
+    /// caller tells whether a step aborted by comparing it before and after,
+    /// in O(1) however many diagnostics the sink already holds.
+    int fatal_count() const noexcept { return fatal_count_; }
+    bool has_fatal() const noexcept { return fatal_count_ > 0; }
 
-    /// Files for which at least one kFatal diagnostic was recorded.
-    std::vector<std::string> failed_files() const;
-
-    void clear() { all_.clear(); }
+    void clear() {
+        all_.clear();
+        fatal_count_ = 0;
+    }
 
 private:
     std::vector<Diagnostic> all_;
+    int fatal_count_ = 0;
 };
 
 }  // namespace phpsafe

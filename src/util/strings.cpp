@@ -1,7 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
-
 namespace phpsafe {
 
 namespace {
@@ -10,6 +8,12 @@ namespace {
 // the analysis hot path, where std::tolower's locale indirection shows up.
 constexpr char fold(char c) noexcept {
     return c >= 'A' && c <= 'Z' ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
+// Locale-free std::isspace under the C locale.
+constexpr bool is_space(char c) noexcept {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
 }
 
 }  // namespace
@@ -61,8 +65,8 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string_view trim(std::string_view s) noexcept {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+    while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+    while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
     return s;
 }
 

@@ -26,7 +26,8 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Trims ASCII whitespace from both ends.
+/// Trims ASCII whitespace (" \t\n\v\f\r") from both ends, whatever the
+/// C locale.
 std::string_view trim(std::string_view s) noexcept;
 
 /// Replaces all occurrences of `from` (non-empty) with `to`.

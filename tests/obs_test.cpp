@@ -10,8 +10,10 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "php/lexer.h"
 #include "php/walk.h"
 #include "phpsafe.h"
 #include "service/watch.h"
@@ -196,6 +198,40 @@ TEST(ObsAllocTest, ColdModelConstructionStaysOffTheHeap) {
               1.2 * 50.4966)
         << counters.alloc_arena_bytes << " arena bytes for "
         << counters.ast_nodes << " AST nodes";
+}
+
+// The lexer's zero-copy contract (docs/performance.md, "The lexer"): a
+// token is a trivially copyable 48-byte value whose strings and
+// interpolation parts are views into the source or the file's arena, so
+// tokenize() makes one heap allocation of its own — the token vector.
+// Arena blocks are the model's memory, bounded per node by the test above,
+// and are not counted here.
+static_assert(std::is_trivially_copyable_v<php::Token>);
+static_assert(sizeof(php::Token) <= 48);
+
+TEST(ObsAllocTest, LexingAllocatesOnlyTheTokenBuffer) {
+    const corpus::Corpus corpus = corpus::generate_corpus(corpus::CorpusOptions{});
+    size_t files = 0;
+    for (const corpus::GeneratedPlugin& plugin : corpus.plugins) {
+        for (const corpus::PluginVersionSource* version :
+             {&plugin.v2012, &plugin.v2014}) {
+            for (const auto& [name, text] : version->files) {
+                const SourceFile file(name, text);
+                Arena arena;
+                DiagnosticSink sink;
+                const uint64_t before = g_allocations.load();
+                const std::vector<php::Token> tokens =
+                    php::Lexer(file, arena, sink).tokenize();
+                const uint64_t allocations =
+                    g_allocations.load() - before - arena.block_count();
+                EXPECT_LE(allocations, 1u)
+                    << plugin.name << "/" << version->version << "/" << name
+                    << ": " << tokens.size() << " tokens";
+                ++files;
+            }
+        }
+    }
+    EXPECT_GE(files, 500u);
 }
 #endif  // PHPSAFE_ALLOC_COUNT_RELIABLE
 

@@ -208,5 +208,42 @@ TEST(ProjectTest, ParseFailureFlagged) {
     EXPECT_TRUE(project.files()[0]->parse_failed);
 }
 
+// A file's arena starts with a block sized from its source, so a small
+// file's model is not one 64 KiB block that is almost all untouched tail.
+TEST(ProjectTest, SmallFileModelFitsOneSmallArenaBlock) {
+    const std::string code = "<?php function f($a) { echo $a; } f($_GET['x']);";
+    const Project p = make_project({{"a.php", code}});
+    const Arena& arena = p.files()[0]->arena;
+    EXPECT_EQ(arena.block_count(), 1u);
+    EXPECT_LE(arena.bytes_reserved(), code.size() * 8 + 1024);
+    EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
+}
+
+// Two project entries may share a name. Only the entry whose own parse
+// aborted is flagged; the name-based rule this replaced flagged both, and
+// flagged a clean replacement parsed into a sink that still held the old
+// file's fatal.
+TEST(ProjectTest, ParseFailureFlagsOnlyTheEntryThatAborted) {
+    std::string garbage = "<?php ";
+    for (int i = 0; i < 300; ++i) garbage += "^^ ";
+    Project project("dup");
+    project.add_file("dup.php", garbage);
+    project.add_file("dup.php", "<?php echo 1;");
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    ASSERT_EQ(project.files().size(), 2u);
+    EXPECT_TRUE(project.files()[0]->parse_failed);
+    EXPECT_FALSE(project.files()[1]->parse_failed);
+
+    Project single("fix");
+    single.add_file("bad.php", garbage);
+    single.parse_all(sink);
+    ASSERT_TRUE(single.files()[0]->parse_failed);
+    const std::optional<Project> fixed =
+        single.fork_with_replacement("bad.php", "<?php echo 2;", sink);
+    ASSERT_TRUE(fixed.has_value());
+    EXPECT_FALSE(fixed->files()[0]->parse_failed);
+}
+
 }  // namespace
 }  // namespace phpsafe::php

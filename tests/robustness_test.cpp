@@ -5,6 +5,9 @@
 // time using a reasonable amount of resources").
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/analyzers.h"
 #include "core/analyzer.h"
 #include "php/parser.h"
@@ -111,6 +114,39 @@ TEST(RobustnessTest, PathologicalBlockNestingFailsTheFileNotTheProcess) {
     for (int i = 0; i < 50000; ++i) code += '}';
     const AnalysisResult r = analyze_garbage(code);
     EXPECT_EQ(r.files_failed, 1);
+}
+
+// parse_failed is decided per file from the sink's running fatal count, so
+// flagging costs O(1) per file instead of a rescan of every diagnostic the
+// build has recorded (quadratic when hundreds of files abort). The flags
+// must stay exact: a file is failed iff its own parse (interpolated
+// sub-parses included) raised a kFatal.
+TEST(RobustnessTest, ParseFailedFlagsAreExactAmongManyAbortingFiles) {
+    std::string nested = "<?php $x = ";
+    nested.append(2000, '(');
+    nested += '1';
+    nested.append(2000, ')');
+    nested += ';';
+    // The only fatal comes from re-parsing the interpolated expression.
+    std::string interpolated = "<?php echo \"{$x";
+    interpolated.append(2000, '(');
+    interpolated += "}\";";
+    const std::string clean = "<?php function f($a) { return $a; } echo f(1);";
+
+    php::Project project("mixed");
+    std::vector<bool> expected;
+    for (int i = 0; i < 600; ++i) {
+        const bool aborts = i % 3 != 2;
+        project.add_file("f" + std::to_string(i) + ".php",
+                         !aborts ? clean : i % 30 == 1 ? interpolated : nested);
+        expected.push_back(aborts);
+    }
+    DiagnosticSink sink;
+    project.parse_all(sink);
+    ASSERT_EQ(project.files().size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(project.files()[i]->parse_failed, expected[i]) << "file " << i;
+    EXPECT_EQ(sink.fatal_count(), 400);
 }
 
 TEST(RobustnessTest, NulBytesInsideCodeStillFindTaint) {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/arena.h"
 #include "util/diagnostics.h"
 #include "util/flat_map.h"
 #include "util/interner.h"
@@ -52,19 +53,30 @@ TEST(DiagnosticsTest, CountsBySeverity) {
     EXPECT_EQ(sink.count(Severity::kWarning), 1);
     EXPECT_EQ(sink.count(Severity::kError), 1);
     EXPECT_EQ(sink.count(Severity::kFatal), 1);
+    EXPECT_EQ(sink.fatal_count(), 1);
     EXPECT_TRUE(sink.has_fatal());
+    sink.clear();
+    EXPECT_EQ(sink.fatal_count(), 0);
+    EXPECT_FALSE(sink.has_fatal());
 }
 
-TEST(DiagnosticsTest, FailedFilesUniqued) {
-    DiagnosticSink sink;
-    sink.add(Severity::kFatal, {"a.php", 1}, "x");
-    sink.add(Severity::kFatal, {"a.php", 9}, "y");
-    sink.add(Severity::kFatal, {"b.php", 2}, "z");
-    sink.add(Severity::kError, {"c.php", 3}, "not fatal");
-    const auto failed = sink.failed_files();
-    ASSERT_EQ(failed.size(), 2u);
-    EXPECT_EQ(failed[0], "a.php");
-    EXPECT_EQ(failed[1], "b.php");
+TEST(ArenaTest, FirstBlockIsSizedByTheCaller) {
+    Arena arena(256);
+    arena.allocate(100, 8);
+    EXPECT_EQ(arena.block_count(), 1u);
+    EXPECT_EQ(arena.bytes_reserved(), 256u);
+    arena.allocate(200, 8);  // does not fit: a default block follows
+    EXPECT_EQ(arena.block_count(), 2u);
+    EXPECT_EQ(arena.bytes_reserved(), 256u + Arena::kDefaultBlockBytes);
+
+    Arena small(16);
+    small.allocate(100, 8);  // a first request larger than the planned block
+    EXPECT_EQ(small.bytes_reserved(), 108u);
+    EXPECT_EQ(Arena(1u << 30).store("x").size(), 1u);  // capped at the default
+
+    Arena unsized;
+    unsized.allocate(1, 1);
+    EXPECT_EQ(unsized.bytes_reserved(), Arena::kDefaultBlockBytes);
 }
 
 TEST(StringsTest, AsciiLower) {
@@ -98,6 +110,9 @@ TEST(StringsTest, Trim) {
     EXPECT_EQ(trim("  hi \t\n"), "hi");
     EXPECT_EQ(trim(""), "");
     EXPECT_EQ(trim("   "), "");
+    EXPECT_EQ(trim("\v\f\rx\r\n"), "x");
+    // Bytes some locales class as space (NBSP, NEL) are kept.
+    EXPECT_EQ(trim("\xA0x\x85"), "\xA0x\x85");
 }
 
 TEST(StringsTest, ReplaceAll) {
