@@ -1,6 +1,7 @@
 #include "dynamic/interpreter.h"
 
 #include <algorithm>
+#include <locale>
 #include <regex>
 
 #include "util/strings.h"
@@ -56,10 +57,28 @@ std::string php_strip_tags(const std::string& in) {
     return out;
 }
 
+/// std::regex's scanner narrows every pattern character through the global
+/// locale's ctype<char>, and libstdc++ fills that facet's narrow cache one
+/// character at a time on first use — a write that races when interpreters
+/// replay in parallel (the validation fan-out). Narrowing the whole byte
+/// range once fills the cache in one step, so later calls only read it.
+void fill_regex_narrow_cache() {
+    static const bool filled = [] {
+        char bytes[256];
+        for (int i = 0; i < 256; ++i) bytes[i] = static_cast<char>(i);
+        char narrowed[256];
+        std::use_facet<std::ctype<char>>(std::locale())
+            .narrow(bytes, bytes + 256, '\0', narrowed);
+        return true;
+    }();
+    (void)filled;
+}
+
 /// Best-effort PCRE → std::regex translation: strips delimiters and flags.
 bool pcre_match(const std::string& pattern, const std::string& subject,
                 std::smatch* match_out) {
     if (pattern.size() < 2) return false;
+    fill_regex_narrow_cache();
     const char delim = pattern.front();
     const size_t end = pattern.rfind(delim);
     if (end == 0) return false;

@@ -56,6 +56,58 @@ std::string to_string(Oracle oracle) {
     return "?";
 }
 
+std::string to_string(FixRecheck outcome) {
+    switch (outcome) {
+        case FixRecheck::kVerified: return "verified";
+        case FixRecheck::kDoesNotApply: return "does-not-apply";
+        case FixRecheck::kReparseFailed: return "reparse-failed";
+        case FixRecheck::kFilesFailedChanged: return "files-failed-changed";
+        case FixRecheck::kTargetSurvives: return "target-survives";
+        case FixRecheck::kCollateralChanged: return "collateral-changed";
+        case FixRecheck::kReplayConfirms: return "replay-confirms";
+    }
+    return "?";
+}
+
+FixRecheck recheck_fix_from_text(const php::Project& project, const Tool& tool,
+                                 const AnalysisResult& result, size_t target,
+                                 const validate::Quickfix& fix) {
+    const std::optional<std::string> patched_text =
+        validate::apply_quickfix(project, fix);
+    if (!patched_text) return FixRecheck::kDoesNotApply;
+    php::Project patched(project.name());
+    for (const auto& file : project.files()) {
+        const std::string name(file->source->name());
+        patched.add_file(name, name == fix.file
+                                   ? *patched_text
+                                   : std::string(file->source->text()));
+    }
+    DiagnosticSink sink;
+    patched.parse_all(sink);
+    const php::ParsedFile* parsed = patched.file_named(fix.file);
+    if (!parsed || parsed->parse_failed) return FixRecheck::kReparseFailed;
+
+    const AnalysisResult after = run_tool(tool, patched);
+    if (after.files_failed != result.files_failed)
+        return FixRecheck::kFilesFailedChanged;
+    const Finding& finding = result.findings[target];
+    const std::string target_key = finding.dedup_key();
+    for (const Finding& kept : after.findings)
+        if (kept.dedup_key() == target_key) return FixRecheck::kTargetSurvives;
+    if (after.findings.size() + 1 != result.findings.size())
+        return FixRecheck::kCollateralChanged;
+    size_t j = 0;
+    for (size_t i = 0; i < result.findings.size(); ++i) {
+        if (i == target) continue;
+        if (validate::finding_signature(after.findings[j++]) !=
+            validate::finding_signature(result.findings[i]))
+            return FixRecheck::kCollateralChanged;
+    }
+    dynamic::Validator validator(patched);
+    return validator.validate(finding).confirmed ? FixRecheck::kReplayConfirms
+                                                 : FixRecheck::kVerified;
+}
+
 bool oracle_from_string(std::string_view text, Oracle& out) {
     if (text == "no-crash") out = Oracle::kNoCrash;
     else if (text == "determinism") out = Oracle::kDeterminism;
@@ -101,7 +153,7 @@ std::vector<Violation> OracleRunner::run(const FuzzCase& c) {
             run_monotonicity(c, result, project, out);
         if (options_.check_agreement && c.agreement_eligible)
             run_agreement(c, result, project, out);
-        if (options_.check_quickfix) run_quickfix(c, result, project, out);
+        if (options_.check_quickfix) run_quickfix(result, project, out);
     }
     if (options_.check_determinism) run_determinism(c, out);
     if (options_.check_concurrency) run_concurrency(c, out);
@@ -272,8 +324,7 @@ void OracleRunner::run_concurrency(const FuzzCase& c,
         out.push_back({Oracle::kConcurrency, std::move(detail)});
 }
 
-void OracleRunner::run_quickfix(const FuzzCase& c,
-                                const AnalysisResult& phpsafe_result,
+void OracleRunner::run_quickfix(const AnalysisResult& phpsafe_result,
                                 const php::Project& project,
                                 std::vector<Violation>& out) const {
     // The soundness claim is about fixes on analyzable code; a case the
@@ -282,7 +333,6 @@ void OracleRunner::run_quickfix(const FuzzCase& c,
 
     validate::ValidateOptions vopts;
     vopts.workers = 1;
-    vopts.propose_fixes = true;
     const validate::ValidationReport report = validate::validate_result(
         project, phpsafe_.kb, phpsafe_.options, phpsafe_result, vopts);
 
@@ -301,63 +351,31 @@ void OracleRunner::run_quickfix(const FuzzCase& c,
             continue;
         }
 
-        // Re-check the verification gates INDEPENDENTLY of the pipeline's
-        // own loop: apply the edit, rebuild the patched project from plain
-        // text (no shared-AST shortcut), and rescan from scratch.
-        const std::optional<std::string> patched_text =
-            validate::apply_quickfix(project, *outcome.fix);
-        if (!patched_text) {
-            out.push_back({Oracle::kQuickfixSoundness,
-                           "verified fix does not apply to its own source: " +
-                               label});
-            continue;
+        const char* problem = nullptr;
+        switch (recheck_fix_from_text(project, phpsafe_, phpsafe_result, i,
+                                      *outcome.fix)) {
+            case FixRecheck::kVerified: break;
+            case FixRecheck::kDoesNotApply:
+                problem = "verified fix does not apply to its own source: ";
+                break;
+            case FixRecheck::kReparseFailed:
+                problem = "patched unit no longer parses: ";
+                break;
+            case FixRecheck::kFilesFailedChanged:
+                problem = "patched unit fails a different number of files: ";
+                break;
+            case FixRecheck::kTargetSurvives:
+                problem = "targeted flow survives the fix: ";
+                break;
+            case FixRecheck::kCollateralChanged:
+                problem = "fix perturbs unrelated findings: ";
+                break;
+            case FixRecheck::kReplayConfirms:
+                problem = "exploit replay still confirms after the fix: ";
+                break;
         }
-        php::Project patched("quickfix-" + c.name);
-        for (const auto& file : project.files()) {
-            const std::string name(file->source->name());
-            patched.add_file(name, name == outcome.fix->file
-                                       ? *patched_text
-                                       : std::string(file->source->text()));
-        }
-        DiagnosticSink sink;
-        patched.parse_all(sink);
-        bool reparse_clean = true;
-        for (const auto& file : patched.files())
-            if (file->parse_failed) reparse_clean = false;
-        if (!reparse_clean) {
-            out.push_back({Oracle::kQuickfixSoundness,
-                           "patched unit no longer parses: " + label});
-            continue;
-        }
-
-        const AnalysisResult rescan = run_tool(phpsafe_, patched);
-        const std::string target_key = target.dedup_key();
-        std::vector<std::string> before_others;
-        for (size_t j = 0; j < phpsafe_result.findings.size(); ++j)
-            if (j != i)
-                before_others.push_back(to_string(phpsafe_result.findings[j]));
-        std::vector<std::string> after_all;
-        bool target_alive = false;
-        for (const Finding& finding : rescan.findings) {
-            if (finding.dedup_key() == target_key) {
-                target_alive = true;
-                continue;
-            }
-            after_all.push_back(to_string(finding));
-        }
-        if (target_alive)
-            out.push_back({Oracle::kQuickfixSoundness,
-                           "targeted flow survives the fix: " + label});
-        if (after_all != before_others)
-            out.push_back({Oracle::kQuickfixSoundness,
-                           "fix perturbs unrelated findings: " + label});
-
-        // And the exploit replay on the patched unit must be dead.
-        dynamic::Validator validator(patched);
-        if (validator.validate(target).confirmed)
-            out.push_back({Oracle::kQuickfixSoundness,
-                           "exploit replay still confirms after the fix: " +
-                               label});
+        if (problem)
+            out.push_back({Oracle::kQuickfixSoundness, problem + label});
     }
 }
 

@@ -15,12 +15,13 @@
 //                   reported that sink: a validated miss is a real false
 //                   negative, the paper's key metric.
 //   quickfix-soundness — every quickfix the validation pipeline emits as
-//                   `verified` must hold up under independent re-checking:
-//                   applying the edit reparses clean, kills the targeted
-//                   flow (the finding's dedup key vanishes from a fresh
-//                   rescan and the exploit replay no longer confirms), and
-//                   leaves every OTHER finding byte-identical. A fix that
-//                   breaks the parse, misses its flow, or perturbs an
+//                   `verified` must pass recheck_fix_from_text, the
+//                   from-text reference for the pipeline's verification
+//                   gates: applying the edit reparses clean, kills the
+//                   targeted flow (the finding's dedup key vanishes from a
+//                   cold rescan and the exploit replay no longer confirms),
+//                   and leaves every OTHER finding byte-identical. A fix
+//                   that breaks the parse, misses its flow, or perturbs an
 //                   unrelated finding is a violation.
 //   concurrency   — N client threads submit randomized interleavings of
 //                   request variants (base case plus distinct edits, mixed
@@ -47,8 +48,33 @@
 #include "baselines/analyzers.h"
 #include "fuzz/mutator.h"
 #include "service/service.h"
+#include "validate/quickfix.h"
 
 namespace phpsafe::fuzz {
+
+/// The outcome of re-verifying one fix from text: kVerified, or the first
+/// verification gate that failed, in the order validate.cpp checks them.
+enum class FixRecheck : uint8_t {
+    kVerified,
+    kDoesNotApply,        ///< the file is gone or the edited line drifted
+    kReparseFailed,       ///< the patched file no longer parses
+    kFilesFailedChanged,  ///< the rescan fails a different number of files
+    kTargetSurvives,      ///< the rescan still reports the targeted finding
+    kCollateralChanged,   ///< another finding appeared, vanished or changed
+    kReplayConfirms,      ///< the exploit replay still confirms the flow
+};
+
+std::string to_string(FixRecheck outcome);
+
+/// The from-text reference for quickfix verification: applies `fix` to
+/// `project`, rebuilds every file from its text (no shared ASTs, no seeded
+/// summaries), rescans cold with `tool` and replays `result.findings
+/// [target]` on the patched unit. Its gates are exactly the ones
+/// validate_result's batched verification applies to its forked, seeded
+/// rescan, so the two must reach the same verdict on every fix.
+FixRecheck recheck_fix_from_text(const php::Project& project, const Tool& tool,
+                                 const AnalysisResult& result, size_t target,
+                                 const validate::Quickfix& fix);
 
 enum class Oracle {
     kNoCrash,
@@ -107,7 +133,7 @@ private:
     void run_determinism(const FuzzCase& c, std::vector<Violation>& out);
     void run_concurrency(const FuzzCase& c, std::vector<Violation>& out);
     void ensure_services();
-    void run_quickfix(const FuzzCase& c, const AnalysisResult& phpsafe_result,
+    void run_quickfix(const AnalysisResult& phpsafe_result,
                       const php::Project& project,
                       std::vector<Violation>& out) const;
     void run_monotonicity(const FuzzCase& c, const AnalysisResult& phpsafe_result,

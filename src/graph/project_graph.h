@@ -33,8 +33,9 @@
 // edges. The cone is reported only; the watch mode's byte-identity
 // guarantee never depends on it (service/watch.h).
 //
-// Serialization round-trips through util/json_writer + util/json_reader so
-// a front-end can persist or diff graphs across scans.
+// to_json renders the graph through util/json_writer; the NDJSON `graph`
+// op returns it under `detail`, so a front-end can diff structure across
+// scans.
 #pragma once
 
 #include <cstdint>
@@ -155,11 +156,6 @@ public:
     // -- serialization -------------------------------------------------------
     /// Compact JSON: nodes with names/hashes, edges as [from,to] id pairs.
     std::string to_json() const;
-    /// Rebuilds a graph from to_json() output. Round-trip is exact:
-    /// to_json(parse(j)) == j. Returns false (with `error`) on malformed
-    /// or out-of-range input.
-    static bool from_json(std::string_view text, ProjectGraph& out,
-                          std::string* error = nullptr);
 
 private:
     struct FileNode {

@@ -1,6 +1,6 @@
 // Minimal streaming JSON writer shared by every JSON producer in the tree
 // (report/export.cpp, service/ndjson.cpp, graph/project_graph.cpp,
-// bench/bench_validate.cpp, perfbench's records).
+// perfbench's records).
 // Before it existed each of those hand-rolled its own comma/escape/indent
 // logic; this centralizes the three things that keep going wrong in
 // hand-rolled emission — separators, string escaping, and balanced
@@ -14,9 +14,9 @@
 //   w.end_array();
 //   w.end_object();
 //
-// indent_width 0 produces compact single-line JSON (the CI export format);
-// a positive width pretty-prints with that many spaces per level (the
-// committed BENCH_validate.json).
+// indent_width 0 produces compact single-line JSON (the CI export format
+// and every NDJSON line); a positive width pretty-prints with that many
+// spaces per level.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
 #include "validate/validate.h"
 
-#include <chrono>
 #include <map>
 #include <optional>
 #include <sstream>
 
+#include "util/timing.h"
 #include "util/worker_pool.h"
 
 namespace phpsafe::validate {
@@ -13,12 +13,6 @@ namespace {
 
 using dynamic::Validator;
 
-double now_seconds() {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 /// One deduplicated interpreter execution: every member finding shares the
 /// same entry file, attack payload and seeding, so one run serves all.
 struct ExecGroup {
@@ -26,17 +20,6 @@ struct ExecGroup {
     InputVector vector = InputVector::kUnknown;  ///< first member's vector
     std::string payload;
 };
-
-/// Byte rendering of one finding for the fix-verification "nothing else
-/// regressed" gate: identity plus the full trace.
-std::string finding_signature(const Finding& finding) {
-    std::string sig = to_string(finding);
-    sig += '\n';
-    for (const TaintStep& step : finding.trace) {
-        sig += "  " + to_string(step.location) + ' ' + step.description + '\n';
-    }
-    return sig;
-}
 
 /// The hermetic capture of the original project as a SeedSet, offered to
 /// every fix verification for seeding. Only set when the hermetic baseline
@@ -69,9 +52,9 @@ struct SeedContext {
 /// (global / property) the walk observed still holds the captured value, so
 /// cross-entry state flows re-run exactly when the patch actually changed
 /// their inputs.
-/// The kQuickfixSoundness fuzz oracle independently re-verifies accepted
-/// fixes against a from-scratch rebuild, so any divergence the gates missed
-/// surfaces as an oracle violation.
+/// fuzz::recheck_fix_from_text applies the same gates to a from-text
+/// rebuild and a cold rescan; ValidateCorpusTest and the kQuickfixSoundness
+/// fuzz oracle hold this fast path to its verdicts.
 bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
                 const AnalysisOptions& options, const AnalysisResult& result,
                 size_t target, const Quickfix& fix,
@@ -130,6 +113,15 @@ bool verify_fix(const php::Project& project, const KnowledgeBase& kb,
 
 }  // namespace
 
+std::string finding_signature(const Finding& finding) {
+    std::string sig = to_string(finding);
+    sig += '\n';
+    for (const TaintStep& step : finding.trace) {
+        sig += "  " + to_string(step.location) + ' ' + step.description + '\n';
+    }
+    return sig;
+}
+
 std::string to_string(Tier tier) {
     switch (tier) {
         case Tier::kValidated: return "validated";
@@ -153,7 +145,7 @@ ValidationReport validate_result(const php::Project& project,
                                  const AnalysisOptions& options,
                                  const AnalysisResult& result,
                                  const ValidateOptions& vopts) {
-    const double start = now_seconds();
+    const double start = wall_seconds();
     ValidationReport report;
     report.tool = result.tool;
     report.plugin = result.plugin;
@@ -217,59 +209,56 @@ ValidationReport validate_result(const php::Project& project,
     }
 
     // ---- 4. remediation: propose serially (cheap), verify in parallel ----
-    if (vopts.propose_fixes) {
-        std::vector<std::optional<Quickfix>> proposals(n);
-        for (size_t i = 0; i < n; ++i) {
-            proposals[i] = propose_quickfix(project, kb, result.findings[i]);
-            if (proposals[i]) ++report.fixes_proposed;
-        }
-
-        // One hermetic capture scan of the original project amortizes the
-        // per-fix rescans: function summaries AND entry-file walks untouched
-        // by a patch are seeded instead of recomputed (capture_entry_files —
-        // the entry artifacts are what let a verification rescan skip
-        // re-walking every unchanged file's top-level code). Seeding only
-        // arms when the hermetic baseline reproduces the caller's result
-        // byte-for-byte — otherwise every verification falls back to a
-        // plain full rescan.
-        SeedContext seed;
-        std::optional<SeedSet> seeds;
-        if (report.fixes_proposed > 0) {
-            seed.hermetic = options.to_builder()
-                                .hermetic_summaries(true)
-                                .capture_entry_files(true)
-                                .build();
-            std::map<std::string, SummaryArtifact> capture;
-            SummaryExchange exchange;
-            exchange.capture = &capture;
-            const Analyzer analyzer = Analyzer::borrowing(kb, options);
-            const ScanResult baseline =
-                analyzer.scan(project, seed.hermetic, exchange);
-            bool reproduced =
-                baseline.result.files_failed == result.files_failed &&
-                baseline.result.findings.size() == result.findings.size();
-            for (size_t i = 0; reproduced && i < result.findings.size(); ++i)
-                reproduced = finding_signature(baseline.result.findings[i]) ==
-                             finding_signature(result.findings[i]);
-            if (reproduced) {
-                seeds.emplace(project, std::move(capture));
-                seed.seeds = &*seeds;
-            }
-        }
-
-        pool.run(n, [&](size_t i) {
-            if (!proposals[i]) return;
-            if (verify_fix(project, kb, options, result, i, *proposals[i],
-                           vopts.exec, seed)) {
-                proposals[i]->verified = true;
-                report.cases[i].fix = std::move(proposals[i]);
-            }
-        });
-        for (const CaseOutcome& outcome : report.cases)
-            if (outcome.fix) ++report.fixes_verified;
+    std::vector<std::optional<Quickfix>> proposals(n);
+    for (size_t i = 0; i < n; ++i) {
+        proposals[i] = propose_quickfix(project, kb, result.findings[i]);
+        if (proposals[i]) ++report.fixes_proposed;
     }
 
-    report.wall_seconds = now_seconds() - start;
+    // One hermetic capture scan of the original project amortizes the
+    // per-fix rescans: function summaries AND entry-file walks untouched by
+    // a patch are seeded instead of recomputed (capture_entry_files — the
+    // entry artifacts are what let a verification rescan skip re-walking
+    // every unchanged file's top-level code). Seeding only arms when the
+    // hermetic baseline reproduces the caller's result byte-for-byte —
+    // otherwise every verification falls back to a plain full rescan.
+    SeedContext seed;
+    std::optional<SeedSet> seeds;
+    if (report.fixes_proposed > 0) {
+        seed.hermetic = options.to_builder()
+                            .hermetic_summaries(true)
+                            .capture_entry_files(true)
+                            .build();
+        std::map<std::string, SummaryArtifact> capture;
+        SummaryExchange exchange;
+        exchange.capture = &capture;
+        const Analyzer analyzer = Analyzer::borrowing(kb, options);
+        const ScanResult baseline =
+            analyzer.scan(project, seed.hermetic, exchange);
+        bool reproduced =
+            baseline.result.files_failed == result.files_failed &&
+            baseline.result.findings.size() == result.findings.size();
+        for (size_t i = 0; reproduced && i < result.findings.size(); ++i)
+            reproduced = finding_signature(baseline.result.findings[i]) ==
+                         finding_signature(result.findings[i]);
+        if (reproduced) {
+            seeds.emplace(project, std::move(capture));
+            seed.seeds = &*seeds;
+        }
+    }
+
+    pool.run(n, [&](size_t i) {
+        if (!proposals[i]) return;
+        if (verify_fix(project, kb, options, result, i, *proposals[i],
+                       vopts.exec, seed)) {
+            proposals[i]->verified = true;
+            report.cases[i].fix = std::move(proposals[i]);
+        }
+    });
+    for (const CaseOutcome& outcome : report.cases)
+        if (outcome.fix) ++report.fixes_verified;
+
+    report.wall_seconds = wall_seconds() - start;
     return report;
 }
 

@@ -16,8 +16,8 @@
 //      unvalidated (replay ran, payload never surfaced) or inconclusive
 //      (replay could not run). Tiers thread into Finding::confidence via
 //      apply_confidence and from there into the JSON/HTML reports.
-//   4. With fixes enabled, the remediation engine (validate/quickfix.h)
-//      proposes a textual fix per finding and *verifies* each one on the
+//   4. The remediation engine (validate/quickfix.h) proposes a textual
+//      fix per finding and *verifies* each one on the
 //      patched unit — reparse clean, analyzer re-scan kills exactly the
 //      targeted finding with every other finding byte-identical, and the
 //      interpreter replay no longer confirms the flow. Only fixes passing
@@ -58,8 +58,6 @@ struct ValidateOptions {
     /// (PHPSAFE_JOBS or hardware concurrency). The tiered output is
     /// byte-identical at any value.
     int workers = 0;
-    /// Run the remediation engine (propose + verify quickfixes).
-    bool propose_fixes = true;
 };
 
 struct ValidationReport {
@@ -85,6 +83,10 @@ ValidationReport validate_result(const php::Project& project,
                                  const AnalysisOptions& options,
                                  const AnalysisResult& result,
                                  const ValidateOptions& vopts = {});
+
+/// Byte rendering of one finding (identity plus the full trace) — what the
+/// fix-verification gate compares to prove no other finding changed.
+std::string finding_signature(const Finding& finding);
 
 /// Stamps each finding's confidence from the report's tiers.
 void apply_confidence(AnalysisResult& result, const ValidationReport& report);
