@@ -4,129 +4,71 @@
 // Each profile adds the CMS's input vectors, filtering functions and sinks
 // to the knowledge base; the engine is unchanged.
 #include "config/knowledge.h"
+#include "config/rules.h"
 
 namespace phpsafe {
 
-namespace {
-
-FunctionInfo cms_source(std::string name, InputVector vector,
-                        VulnSet taint = kBothVulns) {
-    FunctionInfo f;
-    f.name = std::move(name);
-    f.is_source = true;
-    f.source_vector = vector;
-    f.source_taint = taint;
-    f.ret = FunctionInfo::Return::kTainted;
-    return f;
-}
-
-FunctionInfo cms_sanitizer(std::string name, VulnSet cleanses) {
-    FunctionInfo f;
-    f.name = std::move(name);
-    f.sanitizes = cleanses;
-    return f;
-}
-
-FunctionInfo cms_sink(std::string name, VulnSet kinds, std::vector<int> args = {}) {
-    FunctionInfo f;
-    f.name = std::move(name);
-    f.sink_kinds = kinds;
-    f.sink_args = std::move(args);
-    return f;
-}
-
-}  // namespace
+using namespace rules;
 
 void add_drupal_profile(KnowledgeBase& kb) {
     // Database layer (Drupal 6/7 era, matching the paper's timeframe).
-    {
-        // db_query: SQLi sink on the query string, DB source on the result.
-        FunctionInfo f = cms_sink("db_query", kSqliOnly, {0});
-        f.is_source = true;
-        f.source_vector = InputVector::kDatabase;
-        f.ret = FunctionInfo::Return::kTainted;
-        kb.add_function(f);
-    }
-    kb.add_function(cms_sink("db_query_range", kSqliOnly, {0}));
-    kb.add_function(cms_source("db_fetch_object", InputVector::kDatabase));
-    kb.add_function(cms_source("db_fetch_array", InputVector::kDatabase));
-    kb.add_function(cms_source("db_result", InputVector::kDatabase));
-    kb.add_function(cms_source("variable_get", InputVector::kDatabase));
+    kb.add_function(query_sink("db_query"));
+    kb.add_function(sink("db_query_range", kSqliOnly, {0}));
+    kb.add_function(source("db_fetch_object", InputVector::kDatabase));
+    kb.add_function(source("db_fetch_array", InputVector::kDatabase));
+    kb.add_function(source("db_result", InputVector::kDatabase));
+    kb.add_function(source("variable_get", InputVector::kDatabase));
 
     // Output filtering API.
-    kb.add_function(cms_sanitizer("check_plain", kXssOnly));
-    kb.add_function(cms_sanitizer("check_markup", kXssOnly));
-    kb.add_function(cms_sanitizer("filter_xss", kXssOnly));
-    kb.add_function(cms_sanitizer("filter_xss_admin", kXssOnly));
-    kb.add_function(cms_sanitizer("check_url", kXssOnly));
-    kb.add_function(cms_sanitizer("db_escape_string", kSqliOnly));
+    kb.add_function(sanitizer("check_plain", kXssOnly));
+    kb.add_function(sanitizer("check_markup", kXssOnly));
+    kb.add_function(sanitizer("filter_xss", kXssOnly));
+    kb.add_function(sanitizer("filter_xss_admin", kXssOnly));
+    kb.add_function(sanitizer("check_url", kXssOnly));
+    kb.add_function(sanitizer("db_escape_string", kSqliOnly));
 
     // Output sinks.
-    kb.add_function(cms_sink("drupal_set_message", kXssOnly, {0}));
-    kb.add_function(cms_sink("drupal_set_title", kXssOnly, {0}));
-
-    // Render/translation passthroughs: t() interpolates placeholders
-    // verbatim only for ! placeholders; conservatively propagate.
-    {
-        FunctionInfo t;
-        t.name = "t";
-        t.ret = FunctionInfo::Return::kPropagate;
-        kb.add_function(t);
-    }
-    {
-        FunctionInfo l;
-        l.name = "l";  // l($text, $path): renders a link with $text
-        l.sink_kinds = VulnSet::none();
-        l.ret = FunctionInfo::Return::kPropagate;
-        kb.add_function(l);
-    }
+    kb.add_function(sink("drupal_set_message", kXssOnly, {0}));
+    kb.add_function(sink("drupal_set_title", kXssOnly, {0}));
+    // t() and l() pass their text through; an unknown call already carries
+    // its arguments' taint, so they need no entry.
 }
 
 void add_joomla_profile(KnowledgeBase& kb) {
     // JRequest (Joomla 1.5/2.5): request accessors are attack entry points.
     // getVar/getString return raw request data; getInt/getUInt coerce.
-    kb.add_method("jrequest", cms_source("getvar", InputVector::kRequest));
-    kb.add_method("jrequest", cms_source("getstring", InputVector::kRequest));
-    kb.add_method("jrequest", cms_source("getword", InputVector::kRequest));
-    kb.add_method("jrequest", cms_source("getcmd", InputVector::kRequest));
-    {
-        FunctionInfo f;
-        f.name = "getint";
-        f.ret = FunctionInfo::Return::kSafe;  // integer-coerced
-        kb.add_method("jrequest", f);
-    }
+    kb.add_method("jrequest", source("getvar", InputVector::kRequest));
+    kb.add_method("jrequest", source("getstring", InputVector::kRequest));
+    kb.add_method("jrequest", source("getword", InputVector::kRequest));
+    kb.add_method("jrequest", source("getcmd", InputVector::kRequest));
+    kb.add_method("jrequest", safe("getint"));  // integer-coerced
     // JInput (Joomla 3): $app->input->get(...)
-    kb.add_method("jinput", cms_source("get", InputVector::kRequest));
-    kb.add_method("jinput", cms_source("getstring", InputVector::kRequest));
+    kb.add_method("jinput", source("get", InputVector::kRequest));
+    kb.add_method("jinput", source("getstring", InputVector::kRequest));
 
     // Database object: $db->setQuery($sql) is the SQLi sink; loadObjectList
     // and friends return stored data.
-    kb.add_method("jdatabase", cms_sink("setquery", kSqliOnly, {0}));
-    kb.add_method("jdatabasedriver", cms_sink("setquery", kSqliOnly, {0}));
+    kb.add_method("jdatabase", sink("setquery", kSqliOnly, {0}));
+    kb.add_method("jdatabasedriver", sink("setquery", kSqliOnly, {0}));
     for (const char* m : {"loadobjectlist", "loadobject", "loadresult",
                           "loadassoclist", "loadrowlist"}) {
-        FunctionInfo f = cms_source(m, InputVector::kDatabase);
+        FunctionInfo f = source(m, InputVector::kDatabase);
         kb.add_method("jdatabase", f);
         kb.add_method("jdatabasedriver", f);
     }
-    kb.add_method("jdatabase", cms_sanitizer("escape", kSqliOnly));
-    kb.add_method("jdatabase", cms_sanitizer("quote", kSqliOnly));
-    kb.add_method("jdatabasedriver", cms_sanitizer("escape", kSqliOnly));
-    kb.add_method("jdatabasedriver", cms_sanitizer("quote", kSqliOnly));
+    kb.add_method("jdatabase", sanitizer("escape", kSqliOnly));
+    kb.add_method("jdatabase", sanitizer("quote", kSqliOnly));
+    kb.add_method("jdatabasedriver", sanitizer("escape", kSqliOnly));
+    kb.add_method("jdatabasedriver", sanitizer("quote", kSqliOnly));
 
     // Output filtering.
-    kb.add_method("jfilteroutput", cms_sanitizer("cleantext", kXssOnly));
-    kb.add_function(cms_sanitizer("htmlspecialchars_joomla_alias", kXssOnly));
+    kb.add_method("jfilteroutput", sanitizer("cleantext", kXssOnly));
 
     // JFactory::getDBO() returns the database object, so methods invoked on
     // the result resolve against the jdatabase configuration.
-    {
-        FunctionInfo f;
-        f.name = "getdbo";
-        f.ret = FunctionInfo::Return::kSafe;
-        f.returns_class = "jdatabase";
-        kb.add_method("jfactory", f);
-    }
+    FunctionInfo getdbo = safe("getdbo");
+    getdbo.returns_class = "jdatabase";
+    kb.add_method("jfactory", getdbo);
 }
 
 }  // namespace phpsafe

@@ -174,15 +174,19 @@ public:
     /// read before assignment is treated as a potential GET source.
     bool model_register_globals = false;
 
-    size_t function_count() const noexcept { return functions_.size(); }
-    size_t method_count() const noexcept { return methods_.size(); }
-
-private:
     /// Keys are stored lowercase; the transparent FoldedLess comparator lets
     /// hot-path lookups probe with mixed-case string_views straight from AST
     /// nodes without allocating a folded temporary.
-    std::map<std::string, FunctionInfo, FoldedLess> functions_;
-    std::map<std::string, FunctionInfo, FoldedLess> methods_;  ///< "class::m" or "::m"
+    using FunctionMap = std::map<std::string, FunctionInfo, FoldedLess>;
+    /// Every configured function, keyed by name.
+    const FunctionMap& functions() const noexcept { return functions_; }
+    /// Every configured method, keyed "class::method", or "::method" for the
+    /// any-receiver entries.
+    const FunctionMap& methods() const noexcept { return methods_; }
+
+private:
+    FunctionMap functions_;
+    FunctionMap methods_;
     /// Superglobal names are case-sensitive in PHP ($_get is not $_GET);
     /// std::less<> keeps exact comparison but allows string_view probes.
     std::map<std::string, SuperglobalInfo, std::less<>> superglobals_;

@@ -3,13 +3,13 @@
 // (class-vulnerable-input/filter/output.php in the original tool), and a
 // 2007-era profile for the Pixy baseline.
 #include "config/knowledge.h"
+#include "config/rules.h"
 
 namespace phpsafe {
 
-namespace {
+namespace rules {
 
-FunctionInfo source(std::string name, InputVector vector,
-                    VulnSet taint = kBothVulns) {
+FunctionInfo source(std::string name, InputVector vector, VulnSet taint) {
     FunctionInfo f;
     f.name = std::move(name);
     f.is_source = true;
@@ -33,7 +33,7 @@ FunctionInfo revert(std::string name, VulnSet revived) {
     return f;
 }
 
-FunctionInfo sink(std::string name, VulnSet kinds, std::vector<int> args = {}) {
+FunctionInfo sink(std::string name, VulnSet kinds, std::vector<int> args) {
     FunctionInfo f;
     f.name = std::move(name);
     f.sink_kinds = kinds;
@@ -48,12 +48,19 @@ FunctionInfo safe(std::string name) {
     return f;
 }
 
-FunctionInfo propagate(std::string name) {
-    FunctionInfo f;
-    f.name = std::move(name);
-    f.ret = FunctionInfo::Return::kPropagate;
+FunctionInfo query_sink(std::string name, std::vector<int> args) {
+    FunctionInfo f = sink(std::move(name), kSqliOnly, std::move(args));
+    f.is_source = true;
+    f.source_vector = InputVector::kDatabase;
+    f.ret = FunctionInfo::Return::kTainted;
     return f;
 }
+
+}  // namespace rules
+
+using namespace rules;
+
+namespace {
 
 void add_superglobals(KnowledgeBase& kb) {
     kb.add_superglobal({"$_GET", InputVector::kGet, kBothVulns});
@@ -163,39 +170,20 @@ void add_php_sinks(KnowledgeBase& kb) {
 
     // SQLi query executors: the query argument is the sensitive one, and
     // the call result is database data — i.e. also a source.
-    auto query_sink = [](std::string name) {
-        FunctionInfo f = sink(std::move(name), kSqliOnly, {0});
-        f.is_source = true;
-        f.source_vector = InputVector::kDatabase;
-        f.ret = FunctionInfo::Return::kTainted;
-        return f;
-    };
     kb.add_function(query_sink("mysql_query"));
     kb.add_function(query_sink("mysql_unbuffered_query"));
     kb.add_function(query_sink("sqlite_query"));
     // The procedural mysqli/pg APIs take the connection first; the query is
     // the second argument (pg_query also has a single-argument form).
-    auto query_sink_at = [&query_sink](std::string name, std::vector<int> args) {
-        FunctionInfo f = query_sink(std::move(name));
-        f.sink_args = std::move(args);
-        return f;
-    };
-    kb.add_function(query_sink_at("mysql_db_query", {1}));
-    kb.add_function(query_sink_at("mysqli_query", {1}));
-    kb.add_function(query_sink_at("mysqli_multi_query", {1}));
-    kb.add_function(query_sink_at("mysqli_real_query", {1}));
-    kb.add_function(query_sink_at("pg_query", {0, 1}));
+    kb.add_function(query_sink("mysql_db_query", {1}));
+    kb.add_function(query_sink("mysqli_query", {1}));
+    kb.add_function(query_sink("mysqli_multi_query", {1}));
+    kb.add_function(query_sink("mysqli_real_query", {1}));
+    kb.add_function(query_sink("pg_query", {0, 1}));
     // mysqli OOP interface.
-    FunctionInfo mq = sink("query", kSqliOnly, {0});
-    mq.is_source = true;
-    mq.source_vector = InputVector::kDatabase;
-    mq.ret = FunctionInfo::Return::kTainted;
-    kb.add_method("mysqli", mq);
+    kb.add_method("mysqli", query_sink("query"));
     kb.add_method("mysqli", sanitizer("real_escape_string", kSqliOnly));
-    {
-        FunctionInfo fetch = source("fetch_assoc", InputVector::kDatabase);
-        kb.add_method("mysqli_result", fetch);
-    }
+    kb.add_method("mysqli_result", source("fetch_assoc", InputVector::kDatabase));
 }
 
 void add_php_neutral(KnowledgeBase& kb) {
@@ -205,7 +193,7 @@ void add_php_neutral(KnowledgeBase& kb) {
           "time", "mktime", "strtotime", "is_array", "is_string", "is_numeric",
           "is_int", "is_null", "isset", "func_num_args", "array_key_exists",
           "in_array", "strcmp", "strcasecmp", "strpos", "stripos", "strrpos",
-          "preg_match_all_count", "ord", "filemtime", "filesize", "uniqid",
+          "ord", "filemtime", "filesize", "uniqid",
           "ctype_digit", "ctype_alpha", "ctype_alnum", "checkdate", "version_compare",
           "is_float", "is_bool", "is_object", "is_callable", "is_dir", "is_file",
           "file_exists", "function_exists", "class_exists", "method_exists",
@@ -215,26 +203,6 @@ void add_php_neutral(KnowledgeBase& kb) {
           "substr_count", "str_word_count", "mb_strlen", "strnatcmp", "fileatime",
           "is_readable", "is_writable", "is_uploaded_file", "extension_loaded"})
         kb.add_function(safe(name));
-
-    // Taint-preserving built-ins (explicit, though kPropagate is the default
-    // for unknown functions too).
-    for (const char* name :
-         {"sprintf", "vsprintf", "substr", "trim", "ltrim", "rtrim", "str_replace",
-          "str_ireplace", "preg_replace", "preg_quote", "implode", "join", "explode",
-          "strtolower", "strtoupper", "ucfirst", "ucwords", "lcfirst", "nl2br",
-          "str_repeat", "strrev", "str_pad", "wordwrap", "array_merge", "array_values",
-          "array_keys", "array_slice", "array_pop", "array_shift", "array_reverse",
-          "serialize", "unserialize", "json_decode", "current", "reset", "end",
-          "next", "prev", "each", "array_map", "array_filter", "str_split",
-          "chunk_split", "array_unique", "array_combine", "array_flip", "array_fill",
-          "array_pad", "array_splice", "array_diff", "array_intersect", "compact",
-          "strstr", "stristr", "strrchr", "strtr", "substr_replace", "sprintf_keep",
-          "mb_substr", "mb_strtolower", "mb_strtoupper", "mb_convert_encoding",
-          "iconv", "utf8_encode", "utf8_decode", "addcslashes", "quotemeta",
-          "htmlspecialchars_decode_keep", "vsprintf_keep", "strip_tags_keep",
-          "array_walk", "usort", "uasort", "sort", "rsort", "ksort", "asort",
-          "stripslashes_deep_keep", "maybe_unserialize", "maybe_serialize"})
-        kb.add_function(propagate(name));
 
     // json_encode escapes quotes/antislashes: safe for SQL string context,
     // still exploitable in HTML context? Encoded output cannot close a tag
@@ -286,12 +254,8 @@ void add_wordpress_profile(KnowledgeBase& kb) {
     // `$wpdb->get_results` is recognized even where the analysis lost track
     // of the receiver's class.
     for (const char* m : {"get_results", "get_var", "get_row", "get_col"}) {
-        FunctionInfo f = sink(m, kSqliOnly, {0});
-        f.is_source = true;
-        f.source_vector = InputVector::kDatabase;
-        f.ret = FunctionInfo::Return::kTainted;
-        kb.add_method("wpdb", f);
-        kb.add_any_method(f);
+        kb.add_method("wpdb", query_sink(m));
+        kb.add_any_method(query_sink(m));
     }
     kb.add_method("wpdb", sink("query", kSqliOnly, {0}));
     kb.add_method("wpdb", sanitizer("prepare", kSqliOnly));
@@ -327,15 +291,11 @@ void add_wordpress_profile(KnowledgeBase& kb) {
     kb.add_function(revert("wp_unslash", kSqliOnly));
     kb.add_function(sanitizer("wp_slash", kSqliOnly));
 
-    // Output helpers that print their argument.
+    // Output helpers that print their argument. Passthroughs (__, _x,
+    // apply_filters, do_shortcode) need no entry: an unknown call already
+    // carries its arguments' taint.
     kb.add_function(sink("_e", kXssOnly, {0}));
-    kb.add_function(sink("esc_html_e", VulnSet::none()));  // escapes, then echoes
     kb.add_function(sink("wp_die", kXssOnly, {0}));
-    // Translation passthroughs.
-    kb.add_function(propagate("__"));
-    kb.add_function(propagate("_x"));
-    kb.add_function(propagate("apply_filters"));
-    kb.add_function(propagate("do_shortcode"));
 
     // Misc WP getters considered attacker-influenced (stored data).
     kb.add_function(source("get_bloginfo", InputVector::kDatabase, kXssOnly));
@@ -344,41 +304,20 @@ void add_wordpress_profile(KnowledgeBase& kb) {
 }
 
 KnowledgeBase make_pixy_era_kb() {
+    // A 2007-era subset of the generic rules, copied so the two profiles
+    // cannot disagree on a shared entry: file and mysql_* sources (no mysqli
+    // in Pixy's tables), the classic escapers and their reverts, printf,
+    // print_r and mysql_query.
+    const KnowledgeBase generic = make_generic_php_kb();
     KnowledgeBase kb;
     add_superglobals(kb);
-
-    // 2007-era sources: files only; mysqli did not exist in Pixy's tables.
-    kb.add_function(source("file_get_contents", InputVector::kFile));
-    kb.add_function(source("fgets", InputVector::kFile));
-    kb.add_function(source("fread", InputVector::kFile));
-    kb.add_function(source("file", InputVector::kFile));
-    kb.add_function(source("mysql_fetch_array", InputVector::kDatabase));
-    kb.add_function(source("mysql_fetch_assoc", InputVector::kDatabase));
-    kb.add_function(source("mysql_fetch_row", InputVector::kDatabase));
-    kb.add_function(source("mysql_result", InputVector::kDatabase));
-
-    kb.add_function(sanitizer("htmlentities", kXssOnly));
-    kb.add_function(sanitizer("htmlspecialchars", kXssOnly));
-    kb.add_function(sanitizer("mysql_escape_string", kSqliOnly));
-    kb.add_function(sanitizer("mysql_real_escape_string", kSqliOnly));
-    kb.add_function(sanitizer("addslashes", kSqliOnly));
-    kb.add_function(sanitizer("intval", kBothVulns));
-
-    kb.add_function(revert("stripslashes", kSqliOnly));
-    kb.add_function(revert("html_entity_decode", kXssOnly));
-
-    kb.add_function(sink("printf", kXssOnly));
-    kb.add_function(sink("print_r", kXssOnly, {0}));
-    {
-        FunctionInfo f = sink("mysql_query", kSqliOnly, {0});
-        f.is_source = true;
-        f.source_vector = InputVector::kDatabase;
-        f.ret = FunctionInfo::Return::kTainted;
-        kb.add_function(f);
-    }
-    kb.add_function(safe("count"));
-    kb.add_function(safe("strlen"));
-
+    for (const char* name :
+         {"file_get_contents", "fgets", "fread", "file", "mysql_fetch_array",
+          "mysql_fetch_assoc", "mysql_fetch_row", "mysql_result", "htmlentities",
+          "htmlspecialchars", "mysql_escape_string", "mysql_real_escape_string",
+          "addslashes", "intval", "stripslashes", "html_entity_decode", "printf",
+          "print_r", "mysql_query", "count", "strlen"})
+        kb.add_function(*generic.function(name));
     kb.model_register_globals = true;
     return kb;
 }

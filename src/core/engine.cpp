@@ -105,8 +105,6 @@ std::string AnalysisOptions::fingerprint() const {
     flag(oop_support);
     flag(fail_on_oop_file);
     flag(analyze_uncalled_functions);
-    flag(assume_params_tainted_in_uncalled);
-    flag(track_object_types);
     flag(analyze_closures);
     flag(hermetic_summaries);
     flag(capture_entry_files);
@@ -164,9 +162,9 @@ AnalysisResult Engine::analyze(const php::Project& project,
     if (options_.analyze_uncalled_functions) {
         if (options_.hermetic_summaries) {
             all_summarized = summarize_all_declared();
-            if (options_.assume_params_tainted_in_uncalled) summarize_uncalled();
         } else {
-            summarize_uncalled();
+            for (const php::FunctionRef& ref : project.uncalled_functions())
+                if (ref.decl) summarize(ref);
         }
     }
 
@@ -248,25 +246,6 @@ AnalysisResult Engine::analyze(const php::Project& project,
     findings_.clear();
     exchange_ = SummaryExchange{};  // seed/capture pointers die with the call
     return result;
-}
-
-void Engine::summarize_uncalled() {
-    for (const php::FunctionRef& ref : project_->uncalled_functions()) {
-        if (!ref.decl) continue;
-        FunctionSummary& summary = summarize(ref);
-        if (!options_.assume_params_tainted_in_uncalled) continue;
-        // The CMS can call these directly with attacker-controlled
-        // arguments; report their parameter-derived sink flows.
-        for (const ParamSinkFlow& psf : summary.param_sinks) {
-            TaintValue value;
-            value.active = VulnSet::of(psf.vuln);
-            value.vector = InputVector::kFunction;
-            value.via_oop = psf.via_oop;
-            value.add_step(psf.location,
-                           "parameter of uncalled function " + ref.qualified_name());
-            report(psf.vuln, psf.location, psf.sink_name, psf.variable, value);
-        }
-    }
 }
 
 bool Engine::summarize_all_declared() {
@@ -943,7 +922,7 @@ TaintValue Engine::eval_variable(const php::Variable& var, Scope& scope) {
         scope.is_global || scope.global_aliases.contains(name_sym);
     if (is_global_var) {
         TaintValue v = read_global(name, loc_of(var, scope));
-        if (v.object_class.empty() && options_.track_object_types) {
+        if (v.object_class.empty()) {
             if (const std::string* cls = kb_.known_global_class(name))
                 v.object_class = *cls;
         }
@@ -1262,7 +1241,7 @@ TaintValue Engine::read_global(std::string_view name, SourceLocation loc) {
     if (const TaintValue* found = globals_.vars.find(sym(name))) return *found;
     TaintValue v;
     if (const std::string* cls = kb_.known_global_class(name)) {
-        if (options_.track_object_types && options_.oop_support) v.object_class = *cls;
+        if (options_.oop_support) v.object_class = *cls;
     }
     return v;
 }
@@ -1469,7 +1448,7 @@ TaintValue Engine::eval_new(const php::New& expr, Scope& scope) {
     if (expr.class_name.empty()) return out;
     const std::string cls =
         resolve_class_name(expr.class_name, scope.current_class, *project_);
-    if (options_.track_object_types) out.object_class = cls;
+    out.object_class = cls;
 
     const php::ClassDecl* decl = project_->find_class(cls);
     const std::string_view decl_file =
@@ -1756,8 +1735,7 @@ FunctionSummary& Engine::summarize(const php::FunctionRef& ref,
         step += " of ";
         step += ref.qualified_name();
         v.add_step({std::string(ref.file), ref.decl->line}, std::move(step));
-        if (!param.type_hint.empty() && options_.track_object_types)
-            v.object_class = ascii_lower(param.type_hint);
+        if (!param.type_hint.empty()) v.object_class = ascii_lower(param.type_hint);
         // First-call context (paper §III.C): the body is analyzed with the
         // arguments of the call that triggered it, so taint written into
         // properties and globals materializes. Hermetic mode drops this —

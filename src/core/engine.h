@@ -48,10 +48,6 @@ struct AnalysisOptions {
     /// paper observes Pixy lacks this ability).
     bool analyze_uncalled_functions = true;
 
-    /// When analyzing an uncalled function, also report parameter-derived
-    /// sink flows as findings (the CMS may pass attacker data in).
-    bool assume_params_tainted_in_uncalled = false;
-
     /// Number of times loop bodies are processed (1 = paper-faithful single
     /// pass; 2 catches loop-carried flows — used by the ablation bench).
     int loop_iterations = 1;
@@ -63,10 +59,6 @@ struct AnalysisOptions {
 
     /// Call-depth guard for deeply nested user-function chains.
     int max_call_depth = 48;
-
-    /// Track object classes through `new` / known globals; required for
-    /// class-specific method configuration ($wpdb).
-    bool track_object_types = true;
 
     /// Analyze closure bodies at their creation point (treats hooks
     /// registered as anonymous functions as reachable).
@@ -141,11 +133,9 @@ public:
     Builder& oop_support(bool v) { options_.oop_support = v; return *this; }
     Builder& fail_on_oop_file(bool v) { options_.fail_on_oop_file = v; return *this; }
     Builder& analyze_uncalled_functions(bool v) { options_.analyze_uncalled_functions = v; return *this; }
-    Builder& assume_params_tainted_in_uncalled(bool v) { options_.assume_params_tainted_in_uncalled = v; return *this; }
     Builder& loop_iterations(int v) { options_.loop_iterations = v; return *this; }
     Builder& max_include_depth(int v) { options_.max_include_depth = v; return *this; }
     Builder& max_call_depth(int v) { options_.max_call_depth = v; return *this; }
-    Builder& track_object_types(bool v) { options_.track_object_types = v; return *this; }
     Builder& analyze_closures(bool v) { options_.analyze_closures = v; return *this; }
     Builder& hermetic_summaries(bool v) { options_.hermetic_summaries = v; return *this; }
     Builder& capture_entry_files(bool v) { options_.capture_entry_files = v; return *this; }
@@ -229,7 +219,6 @@ private:
 
     // -- drivers -------------------------------------------------------------
     void analyze_entry_file(const php::ParsedFile& file);
-    void summarize_uncalled();
     /// Hermetic stage 1'; true when every declared function ends up with
     /// an analyzed summary (stage 3 then has nothing left to do).
     bool summarize_all_declared();

@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -63,6 +64,28 @@ public:
     /// Executes one project file as the entry point.
     ExecResult run_file(const std::string& file_name);
 
+    /// The arguments of one built-in call, as the implementation sees them
+    /// (defined in interpreter.cpp).
+    struct BuiltinCall;
+
+    /// One row of the built-in table: the concrete semantics of a PHP or CMS
+    /// function, or of a method on a stub class. An opaque row has no
+    /// implementation; the call then behaves like an unknown name — a plugin
+    /// definition of it runs, otherwise it yields null.
+    struct Builtin {
+        Value (*impl)(BuiltinCall&) = nullptr;
+        std::string_view opaque_reason;  ///< why an opaque row has no semantics
+
+        bool opaque() const noexcept { return impl == nullptr; }
+    };
+    using BuiltinTable = std::map<std::string, Builtin, std::less<>>;
+
+    /// The immutable built-in table, keyed by the lowercase function name or
+    /// "class::method". It never reads a KnowledgeBase: the roles stay there
+    /// (they differ per profile), and BuiltinTableTest checks that every KB
+    /// sanitizer, revert and sink has a row.
+    static const BuiltinTable& builtins();
+
 private:
     struct Frame {
         // Transparent comparators: AST names are string_views into the
@@ -101,9 +124,11 @@ private:
     Value call_user_function(const php::FunctionRef& ref,
                              const std::vector<Value>& args, Value this_object,
                              Frame& caller);
-    bool call_builtin(const std::string& lower_name, std::vector<Value>& args,
-                      const php::FunctionCall* call, Frame& frame, Value& out);
-    Value wpdb_method(const std::string& method, const std::vector<Value>& args);
+    /// Runs the implemented row for `key`; nullopt when the table has no
+    /// row for it or the row is opaque.
+    std::optional<Value> call_builtin(std::string_view key, std::vector<Value>& args,
+                                      const ArenaVector<php::Argument>& arg_exprs,
+                                      Frame& frame);
 
     Value make_result_handle();
     Value make_db_row();

@@ -3,29 +3,17 @@
 #include <algorithm>
 #include <cctype>
 
+#include "util/strings.h"
+
 namespace phpsafe::fuzz {
 
-namespace {
-
-/// XSS sanitizers spliced around superglobal reads. Every entry must be a
-/// sanitizer in the *generic* knowledge base (so preset monotonicity still
-/// holds) AND implemented concretely by dynamic::Interpreter (so the
-/// agreement oracle sees the same semantics the static engine assumes).
 const std::vector<std::string>& splice_sanitizers() {
     static const std::vector<std::string> fns = {
         "htmlspecialchars", "htmlentities", "strip_tags", "intval"};
     return fns;
 }
 
-std::string replace_all(std::string text, const std::string& from,
-                        const std::string& to) {
-    size_t pos = 0;
-    while ((pos = text.find(from, pos)) != std::string::npos) {
-        text.replace(pos, from.size(), to);
-        pos += to.size();
-    }
-    return text;
-}
+namespace {
 
 /// Joins snippet lines into a PHP file. Line 1 is the open tag, so snippet
 /// line `offset` (0-based) lands on file line `offset + 2`.

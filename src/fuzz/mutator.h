@@ -21,6 +21,13 @@
 
 namespace phpsafe::fuzz {
 
+/// XSS sanitizers the mutator splices around superglobal reads. Every entry
+/// must be a sanitizer in the *generic* knowledge base (so preset
+/// monotonicity still holds) AND an implemented row of the interpreter's
+/// built-in table (so the agreement oracle sees the same semantics the
+/// static engine assumes); BuiltinTableTest checks both.
+const std::vector<std::string>& splice_sanitizers();
+
 struct FuzzFile {
     std::string name;
     std::string text;

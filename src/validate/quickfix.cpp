@@ -246,20 +246,18 @@ std::string to_string(Quickfix::Kind kind) {
     return "?";
 }
 
+const std::vector<std::string>& sanitizer_preference(VulnKind kind) {
+    static const std::vector<std::string> kXss = {"esc_html", "htmlspecialchars",
+                                                  "htmlentities"};
+    static const std::vector<std::string> kSqli = {
+        "esc_sql", "mysql_real_escape_string", "addslashes"};
+    return kind == VulnKind::kXss ? kXss : kSqli;
+}
+
 std::string preferred_sanitizer(const KnowledgeBase& kb, VulnKind kind) {
-    // Profile-specific functions first (the WordPress esc_* family), PHP
-    // built-ins as the generic fallback. Every candidate here is also
-    // implemented by the dynamic interpreter, so a wrapped flow is dead for
-    // the replay exactly when it is dead for the engine.
-    static const char* const kXssOrder[] = {"esc_html", "htmlspecialchars",
-                                            "htmlentities", nullptr};
-    static const char* const kSqliOrder[] = {"esc_sql",
-                                             "mysql_real_escape_string",
-                                             "addslashes", nullptr};
-    const char* const* order = kind == VulnKind::kXss ? kXssOrder : kSqliOrder;
-    for (const char* const* name = order; *name; ++name) {
-        const FunctionInfo* info = kb.function(*name);
-        if (info && info->sanitizes.contains(kind)) return *name;
+    for (const std::string& name : sanitizer_preference(kind)) {
+        const FunctionInfo* info = kb.function(name);
+        if (info && info->sanitizes.contains(kind)) return name;
     }
     return "";
 }

@@ -47,8 +47,16 @@ struct Quickfix {
 
 std::string to_string(Quickfix::Kind kind);
 
-/// The profile's preferred sanitizer for `kind`: the first function in the
-/// kind's preference order that the knowledge base registers as a
+/// Every sanitizer preferred_sanitizer may return for `kind`, most preferred
+/// first: the profile-specific functions (the WordPress esc_* family), then
+/// the PHP built-ins as the generic fallback. Each must be an implemented
+/// row of the interpreter's built-in table, so a wrapped flow is dead for
+/// the replay exactly when it is dead for the engine; BuiltinTableTest
+/// checks this.
+const std::vector<std::string>& sanitizer_preference(VulnKind kind);
+
+/// The profile's preferred sanitizer for `kind`: the first function in
+/// sanitizer_preference(kind) that the knowledge base registers as a
 /// sanitizer of that kind. Empty when the profile has none.
 std::string preferred_sanitizer(const KnowledgeBase& kb, VulnKind kind);
 

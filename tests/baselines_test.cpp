@@ -108,19 +108,5 @@ TEST(EngineOptionsTest, MaxCallDepthGuards) {
     EXPECT_GE(r.findings.size(), 1u);
 }
 
-TEST(EngineOptionsTest, TrackObjectTypesOffStillSafe) {
-    Tool tool = make_phpsafe_tool();
-    tool.options.track_object_types = false;
-    php::Project project("notrack");
-    project.add_file("main.php",
-                     "<?php global $wpdb; echo $wpdb->get_var('q');");
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    // Without type tracking the wildcard method entry still matches.
-    const AnalysisResult r =
-        Analyzer::borrowing(tool.kb, tool.options).scan(project).result;
-    EXPECT_EQ(r.findings.size(), 1u);
-}
-
 }  // namespace
 }  // namespace phpsafe

@@ -183,9 +183,9 @@ TEST(KnowledgeBaseTest, ProfileSizes) {
     KnowledgeBase wp = make_generic_php_kb();
     add_wordpress_profile(wp);
     const KnowledgeBase pixy = make_pixy_era_kb();
-    EXPECT_GT(wp.function_count(), generic.function_count());
-    EXPECT_GT(wp.method_count(), generic.method_count());
-    EXPECT_LT(pixy.function_count(), generic.function_count());
+    EXPECT_GT(wp.functions().size(), generic.functions().size());
+    EXPECT_GT(wp.methods().size(), generic.methods().size());
+    EXPECT_LT(pixy.functions().size(), generic.functions().size());
 }
 
 TEST(KnowledgeBaseTest, RefFlowsForPregMatch) {

@@ -289,14 +289,6 @@ TEST(EngineTest, UncalledParamsNotTaintedByDefault) {
     EXPECT_TRUE(r.findings.empty());
 }
 
-TEST(EngineTest, UncalledParamsTaintedWhenOptionSet) {
-    Tool tool = make_phpsafe_tool();
-    tool.options.assume_params_tainted_in_uncalled = true;
-    const auto r = analyze("<?php function fmt($v) { echo $v; }", tool);
-    ASSERT_EQ(r.findings.size(), 1u);
-    EXPECT_EQ(r.findings[0].vector, InputVector::kFunction);
-}
-
 // -- globals -----------------------------------------------------------------
 
 TEST(EngineTest, GlobalKeywordSharesTaint) {
