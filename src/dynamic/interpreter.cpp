@@ -996,8 +996,20 @@ const Interpreter::BuiltinTable& Interpreter::builtins() {
         };
 
         // --- output ------------------------------------------------------------
-        add({"printf", "vprintf"}, [](BuiltinCall& c) {
+        add({"printf"}, [](BuiltinCall& c) {
             const std::string rendered = format_percent(c.args, /*quote_strings=*/false);
+            c.in.emit(rendered);
+            return Value::integer(static_cast<long>(rendered.size()));
+        });
+        add({"vprintf"}, [](BuiltinCall& c) {
+            // The values come as one array. Any other second argument is
+            // PHP 8's TypeError and prints nothing (PHP 5 and 7 cast a
+            // scalar to a one-element array instead).
+            if (c.args.size() != 2 || !c.args[1].is_array()) return Value::boolean(false);
+            std::vector<Value> args{c.args[0]};
+            for (const auto& [key, value] : c.args[1].array_data()->entries)
+                args.push_back(value);
+            const std::string rendered = format_percent(args, /*quote_strings=*/false);
             c.in.emit(rendered);
             return Value::integer(static_cast<long>(rendered.size()));
         });

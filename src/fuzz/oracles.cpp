@@ -21,15 +21,16 @@ php::Project build_project(const FuzzCase& c, DiagnosticSink& sink) {
     return project;
 }
 
-// Deterministic byte rendering of a watch-edit delta: the structural
-// numbers (cone size is graph-derived, hence scheduling-independent), the
-// added/removed findings and the underlying full-scan signature. Timings
-// are excluded, error deltas render as their message.
+// Deterministic byte rendering of a watch-edit delta: the changed-file
+// count, the added/removed findings and the underlying full-scan
+// signature; error deltas render as their message. Timings and the cone
+// counts are excluded: the cone counts, like summaries_seeded, depend on
+// cache state (a result-pool hit reports 0/0, a scan coalesced onto
+// another client's identical request reports that scan's rebase), which
+// the clients' interleaving decides.
 std::string delta_signature(const service::WatchDelta& delta) {
     if (!delta.ok) return "error: " + delta.error + "\n";
-    std::string sig = "changed=" + std::to_string(delta.changed_files) +
-                      " cone=" + std::to_string(delta.cone_files) + "/" +
-                      std::to_string(delta.cone_functions) + "\n";
+    std::string sig = "changed=" + std::to_string(delta.changed_files) + "\n";
     for (const Finding& finding : delta.added) {
         sig += "+ " + to_string(finding);
         sig += '\n';

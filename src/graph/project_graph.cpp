@@ -54,32 +54,6 @@ constexpr std::string_view kVendorDirNames[] = {
 
 }  // namespace
 
-bool structure_equals(const php::ParsedFile& a, const php::ParsedFile& b) {
-    const php::FileFacts& x = a.facts;
-    const php::FileFacts& y = b.facts;
-    const auto same_function = [](const php::FunctionRef& l,
-                                  const php::FunctionRef& r) {
-        return iequals(l.decl->name, r.decl->name) &&
-               (l.owner ? r.owner && iequals(l.owner->name, r.owner->name)
-                        : !r.owner);
-    };
-    const auto same_class = [](const php::ClassDecl* l, const php::ClassDecl* r) {
-        return iequals(l->name, r->name) && iequals(l->parent, r->parent);
-    };
-    return a.unit.file_name == b.unit.file_name &&
-           a.parse_failed == b.parse_failed &&
-           std::equal(x.functions.begin(), x.functions.end(),
-                      y.functions.begin(), y.functions.end(), same_function) &&
-           std::equal(x.classes.begin(), x.classes.end(), y.classes.begin(),
-                      y.classes.end(), same_class) &&
-           std::equal(x.called_functions.begin(), x.called_functions.end(),
-                      y.called_functions.begin(), y.called_functions.end()) &&
-           std::equal(x.called_methods.begin(), x.called_methods.end(),
-                      y.called_methods.begin(), y.called_methods.end()) &&
-           std::equal(x.includes.begin(), x.includes.end(), y.includes.begin(),
-                      y.includes.end());
-}
-
 std::string_view ProjectGraph::intern(std::string_view s) {
     return names_.store(s);
 }
@@ -214,35 +188,6 @@ ProjectGraph ProjectGraph::build(
 
     g.finish_edges();
     return g;
-}
-
-std::vector<ProjectGraph::FileId> ProjectGraph::dependency_cone(
-    const std::vector<FileId>& changed) const {
-    std::vector<bool> in_cone(files_.size(), false);
-    std::vector<FileId> frontier;
-    for (const FileId id : changed) {
-        if (id < 0 || static_cast<size_t>(id) >= files_.size()) continue;
-        if (in_cone[static_cast<size_t>(id)]) continue;
-        in_cone[static_cast<size_t>(id)] = true;
-        frontier.push_back(id);
-    }
-    while (!frontier.empty()) {
-        const FileId id = frontier.back();
-        frontier.pop_back();
-        const FileNode& node = files_[static_cast<size_t>(id)];
-        for (const std::vector<FileId>* reverse :
-             {&node.included_by, &node.used_by}) {
-            for (const FileId dependent : *reverse) {
-                if (in_cone[static_cast<size_t>(dependent)]) continue;
-                in_cone[static_cast<size_t>(dependent)] = true;
-                frontier.push_back(dependent);
-            }
-        }
-    }
-    std::vector<FileId> cone;
-    for (size_t i = 0; i < in_cone.size(); ++i)
-        if (in_cone[i]) cone.push_back(static_cast<FileId>(i));
-    return cone;
 }
 
 ProjectGraph::Analytics ProjectGraph::analyze(int hub_limit) const {

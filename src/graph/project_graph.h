@@ -2,7 +2,7 @@
 // The include/call relationships phpSAFE relies on exist implicitly — as
 // resolution tables inside php::Project and as dependency records checked
 // by DepCheckMemo::validate (core/summaries.h). This subsystem materializes
-// them once per scan into a dense graph artifact:
+// them, when the NDJSON `graph` op asks, into a dense graph artifact:
 //
 //   nodes  - files (every source file of the request) and functions (every
 //            declared free function and method, linked to its declaring
@@ -12,26 +12,22 @@
 //            by the same php::FileIndex as php::Project::resolve_include)
 //            and use edges (a file calling a function, using a class, or
 //            extending a parent declared in another file). Both directions
-//            are stored, so reverse reachability is one adjacency walk.
+//            are stored.
 //
 // The graph is built from each file's php::FileFacts — what the file
 // declares, calls and includes, computed once at parse time by the same
 // AST walk that feeds php::Project's tables, so "calls" means the same
 // thing to the graph as to the engine (callback registrations included).
 // Facts live on the immutable ParsedFile and are shared through the file
-// pool like the AST, which is what makes the watch mode's incremental
-// rebuild cheap: an edit parses the changed files only and re-links the
-// graph (linking is O(V+E) string-map work, orders of magnitude below
-// re-analysis).
+// pool like the AST, so building the graph of a watch session's pinned
+// files parses nothing: linking is O(V+E) string-map work.
 //
 // On top of the structure sit the analytics the paper's plugin-review
 // workflow wants answered before reading any finding (docs/graph.md):
 // include hubs, orphan files, include cycles (iterative Tarjan SCC),
-// dead/backup files and vendor directories. And the watch scheduler's core
-// query: dependency_cone() — every file whose analysis could observe a
-// change to the given files, i.e. the reverse closure over include and use
-// edges. The cone is reported only; the watch mode's byte-identity
-// guarantee never depends on it (service/watch.h).
+// dead/backup files and vendor directories. No analysis decision reads
+// the graph; what an edit invalidates is the SeedSet's business
+// (core/summaries.h, service/watch.h).
 //
 // to_json renders the graph through util/json_writer; the NDJSON `graph`
 // op returns it under `detail`, so a front-end can diff structure across
@@ -50,13 +46,6 @@
 #include "util/arena.h"
 
 namespace phpsafe::graph {
-
-/// True when two parses of a file would produce the same graph nodes and
-/// edges: same name, parse state and facts (names compared folded). An
-/// edit that only touches comments, whitespace or statement bodies keeps
-/// the structure, so a linked graph stays valid and only the node hash
-/// needs refreshing (set_file_hash).
-bool structure_equals(const php::ParsedFile& a, const php::ParsedFile& b);
 
 class ProjectGraph {
 public:
@@ -99,12 +88,6 @@ public:
     std::string_view file_name(FileId id) const { return files_[static_cast<size_t>(id)].name; }
     uint64_t file_hash(FileId id) const { return files_[static_cast<size_t>(id)].hash; }
     bool file_parse_failed(FileId id) const { return files_[static_cast<size_t>(id)].parse_failed; }
-    /// Refreshes a node's content hash in place — the structure-preserving
-    /// edit fast path (see structure_equals): edges stay valid, only the
-    /// recorded content moved.
-    void set_file_hash(FileId id, uint64_t hash) {
-        files_[static_cast<size_t>(id)].hash = hash;
-    }
     /// Id of the exactly-named file (the first of duplicates), or kNoFile.
     FileId file_id(std::string_view name) const { return file_index_.find(name); }
 
@@ -126,12 +109,6 @@ public:
     int use_edge_count() const noexcept { return use_edges_; }
 
     // -- queries -------------------------------------------------------------
-    /// The invalidated cone of an edit: every file that can transitively
-    /// reach a changed file through include or use edges (i.e. whose
-    /// analysis could observe the change), plus the changed files
-    /// themselves. Result is sorted by id. Unknown ids are ignored.
-    std::vector<FileId> dependency_cone(const std::vector<FileId>& changed) const;
-
     /// Analytics over the whole graph:
     ///   hubs      - the `hub_limit` most-included files (fan-in > 0),
     ///               ties broken by name.

@@ -61,7 +61,6 @@ namespace phpsafe::obs {
     X(cache_dep_walk_memo_hits, "dependency records answered by the "           \
                                 "per-request memo without a project walk")      \
     X(watch_edits, "file-change events applied to watch sessions")              \
-    X(watch_cone_files, "files inside the invalidated cone of watch edits")     \
     X(graph_builds, "project graphs linked from file facts")                    \
     X(alloc_arena_bytes, "bytes handed out by per-file AST arenas")             \
     X(alloc_arena_blocks, "heap blocks backing AST arenas (the model's "        \

@@ -20,9 +20,11 @@
 //   {"op":"edit","files":[...],"remove":[...]}    apply a change batch;
 //                                                 answers delta findings
 //                                                 ("added"/"removed") plus
-//                                                 the invalidated cone size
+//                                                 the cone: summaries the
+//                                                 seed set re-checked and
+//                                                 their declaring files
 //   {"op":"graph"}                                analytics of the watch
-//                                                 session's project graph
+//                                                 session's current files
 //   {"op":"graph","path":...} / "files":[...]     ... of a standalone tree
 //   {"op":"graph",...,"detail":true}              + full nodes and edges
 //
@@ -109,7 +111,7 @@ std::string render_stats_line(const CacheStats& stats, bool deterministic);
 /// session's tracked file count.
 std::string render_watch_line(const ScanResponse& response, int files,
                               bool deterministic);
-/// One edit batch's answer: cone size + delta findings (or the structured
+/// One edit batch's answer: cone counts + delta findings (or the structured
 /// error when the delta is not ok).
 std::string render_edit_line(const WatchDelta& delta, bool deterministic);
 /// Graph analytics, optionally with the full serialized graph.

@@ -228,8 +228,10 @@ int AnalysisServer::serve_session(std::istream& in, SyncLineWriter& out,
                      if (has_payload)
                          reply = render_graph_line(
                              build_request_graph(service, scan), detail);
-                     else if (watch.graph())
-                         reply = render_graph_line(*watch.graph(), detail);
+                     else if (watch.active())
+                         reply = render_graph_line(
+                             build_request_graph(service, watch.request()),
+                             detail);
                      else
                          reply = render_error_line(
                              "graph needs an open watch session or a "

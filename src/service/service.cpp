@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <set>
 #include <utility>
 
 #include "util/strings.h"
@@ -361,11 +362,14 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
             // request: distinct dependency names resolve against the
             // project tables once, not once per summary mentioning them.
             DepCheckMemo dep_memo(project);
+            std::set<std::string_view> recheck_files;
             for (SeedSet::Probe& probe : seeds.rebase(project)) {
                 const php::FunctionRef* owner =
                     probe.owner ? probe.owner
                                 : declaration_of(project, probe.key);
                 if (!owner) continue;
+                ++response.summaries_rechecked;
+                recheck_files.insert(owner->file);
                 auto artifact = cache_.find_summary(
                     preset_fp, probe.key,
                     project.file_named(owner->file)->content_hash);
@@ -379,6 +383,7 @@ ScanResponse AnalysisService::perform_scan(PendingScan& scan) {
                 }
             }
             response.summaries_seeded = static_cast<int>(seeds.size());
+            response.recheck_files = static_cast<int>(recheck_files.size());
         }
 
         SummaryExchange exchange;

@@ -142,6 +142,12 @@ struct ScanResponse {
     /// Candidates looked up in the summary pool this scan and refused by
     /// dependency validation.
     int summaries_invalidated = 0;
+    /// Summaries the seed set's rebase handed back for a re-check that
+    /// have a declaration in this request's project, and the distinct
+    /// files declaring them: what the edit since the set's snapshot could
+    /// move. Zero for a result-pool hit (no rebase runs).
+    int summaries_rechecked = 0;
+    int recheck_files = 0;
     double wall_seconds = 0;
     /// 1-based order in which a worker picked this scan off the queue
     /// (0 for rejected/cancelled-before-dispatch responses) — observable

@@ -50,57 +50,19 @@ ScanRequest WatchSession::assemble_request() const {
     return request;
 }
 
-void WatchSession::refresh_state() {
-    // After open() every file is new to the graph; after an edit only the
-    // batch's upserts are (removals already left files_).
-    bool relink = !graph_ || graph_stale_;
-    const auto refresh = [&](const std::string& name, FileState& state) {
-        if (!state.parsed) {
-            state.parsed = service_.cache().find_file(name, state.hash);
-            if (!state.parsed) state.parsed = parse_standalone(name, state.text);
-            state.text.clear();  // the pinned AST retains the source
-        }
-        if (state.linked != state.parsed) {
-            if (!relink && !(state.linked && graph::structure_equals(
-                                                 *state.parsed, *state.linked)))
-                relink = true;
-            state.linked = state.parsed;
-        }
-    };
-    if (!graph_) {
-        for (auto& [name, state] : files_) refresh(name, state);
-    } else {
-        for (const std::string& name : edited_) refresh(name, files_.at(name));
-    }
-    if (relink) {
-        std::vector<std::shared_ptr<const php::ParsedFile>> parsed;
-        parsed.reserve(files_.size());
-        for (const auto& [name, state] : files_) parsed.push_back(state.parsed);
-        graph_ = std::make_unique<graph::ProjectGraph>(
-            graph::ProjectGraph::build(parsed));
-        ++obs::tls().graph_builds;
-    } else {
-        // Structure-preserving edit (comments, whitespace, bodies): every
-        // node and edge stays valid, only the edited files' hashes moved.
-        for (const std::string& name : edited_) {
-            const auto id = graph_->file_id(name);
-            if (id != graph::ProjectGraph::kNoFile)
-                graph_->set_file_hash(id, files_.at(name).parsed->content_hash);
-        }
-    }
-    edited_.clear();
-    graph_stale_ = false;
+void WatchSession::pin(const std::string& name, FileState& state) {
+    if (state.parsed) return;
+    state.parsed = service_.cache().find_file(name, state.hash);
+    if (!state.parsed) state.parsed = parse_standalone(name, state.text);
+    state.text.clear();  // the pinned AST retains the source
 }
 
 ScanResponse WatchSession::open(ScanRequest request) {
     files_.clear();
-    edited_.clear();
-    graph_.reset();
     baseline_.clear();
     baseline_keys_.clear();
     seeds_ = SeedSet{};
     active_ = false;
-    graph_stale_ = true;
 
     base_ = request;
     base_.files.clear();
@@ -121,7 +83,7 @@ ScanResponse WatchSession::open(ScanRequest request) {
     }
     baseline_ = response.result.findings;
     baseline_keys_ = finding_keys(baseline_);
-    refresh_state();
+    for (auto& [name, state] : files_) pin(name, state);
     active_ = true;
     return response;
 }
@@ -158,37 +120,17 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
         }
     }
 
-    // The invalidated cone, on the pre-edit graph: everything that could
-    // observe the changed files. Reported only — see the header.
-    std::vector<graph::ProjectGraph::FileId> changed_ids;
-    int new_files = 0;
-    for (const std::string& name : touched) {
-        const auto id = graph_->file_id(name);
-        if (id == graph::ProjectGraph::kNoFile)
-            ++new_files;  // brand-new file: in the cone by itself
-        else
-            changed_ids.push_back(id);
-    }
-    const std::vector<graph::ProjectGraph::FileId> cone =
-        graph_->dependency_cone(changed_ids);
     delta.changed_files = static_cast<int>(touched.size());
-    delta.cone_files = static_cast<int>(cone.size()) + new_files;
-    for (const auto id : cone)
-        delta.cone_functions +=
-            static_cast<int>(graph_->functions_of(id).size());
     obs::tls().watch_edits += static_cast<uint64_t>(touched.size());
-    obs::tls().watch_cone_files += static_cast<uint64_t>(delta.cone_files);
 
     // Apply the batch.
     for (const SourceFileSpec& spec : batch.upserts) {
-        FileState& state = files_[spec.name];  // keeps `linked`
+        FileState& state = files_[spec.name];
         state.hash = AnalysisService::spec_content_hash(spec);
         state.parsed = spec.parsed;
         state.text = spec.text;
-        edited_.push_back(spec.name);
     }
     for (const std::string& name : batch.removals) files_.erase(name);
-    if (new_files > 0 || !batch.removals.empty()) graph_stale_ = true;
 
     // Full re-scan: unchanged files ride as pinned ASTs, and the session's
     // seed set re-checks only the summaries the batch can invalidate.
@@ -207,6 +149,9 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
         baseline_keys_.clear();
         return delta;
     }
+
+    delta.cone_files = delta.response.recheck_files;
+    delta.cone_functions = delta.response.summaries_rechecked;
 
     // Delta findings: canonical-serialization multiset diff, both sides in
     // their result order. Byte-identical to diffing two full cold scans.
@@ -234,7 +179,8 @@ WatchDelta WatchSession::edit(const WatchEditBatch& batch) {
 
     baseline_ = now;
     baseline_keys_ = std::move(now_keys);
-    refresh_state();
+    for (const SourceFileSpec& spec : batch.upserts)
+        pin(spec.name, files_.at(spec.name));
     delta.ok = true;
     return delta;
 }

@@ -1,44 +1,39 @@
-// WatchSession: the reverse-graph incremental scheduler behind the NDJSON
-// "watch"/"edit" ops. A client opens a session with a full scan request,
-// then streams file-change events; each edit batch answers with *delta
-// findings* — what the change added and removed relative to the previous
-// scan — instead of the whole report.
+// WatchSession: the incremental scheduler behind the NDJSON "watch"/"edit"
+// ops. A client opens a session with a full scan request, then streams
+// file-change events; each edit batch answers with *delta findings* — what
+// the change added and removed relative to the previous scan — instead of
+// the whole report.
 //
 // State kept per session (this is what the whole-request warm path pays
 // for on every scan and a watch session pays for once):
 //   - every file's content hash and a pinned shared_ptr to its immutable
-//     parsed AST (re-pinned from the service's file pool after each scan,
-//     or re-parsed locally when the pool evicted it),
-//   - the linked ProjectGraph (graph/project_graph.h), read from the facts
-//     each ParsedFile got at parse time — an edit computes facts for the
-//     changed files only, by parsing them, and nothing is re-extracted,
+//     parsed AST (pinned from the service's file pool after the scan that
+//     parsed it, or re-parsed locally when the pool evicted it),
+//   - the summary seeds of the last scan (SeedSet, core/summaries.h),
 //   - the previous scan's findings, diffed against each new scan.
 //
 // An edit therefore submits a request whose unchanged files are pinned
 // ASTs: the service skips re-hashing, re-parsing and the per-file cache
 // probes for everything outside the edit, and the request fingerprint is
-// computed from content hashes alone. The invalidated cone — every file
-// that transitively includes or uses a changed file, via
-// ProjectGraph::dependency_cone — is computed per batch and reported in
-// the delta (cone_files/cone_functions, plus the watch_* obs counters); no
-// analysis decision reads it.
+// computed from content hashes alone.
 //
 // Soundness: the re-scan always covers the full updated file set through
 // the same AnalysisService::perform_scan path as a cold scan, so delta
 // findings are byte-identical to the diff of two full cold re-scans by the
 // service's standing warm==cold invariant — at any PHPSAFE_JOBS, any cache
-// state, any preset. What follows the edit is cost: the session owns a
-// SeedSet (core/summaries.h) that rides along with every scan it submits.
-// SeedSet::rebase diffs the new project against the set's own snapshot and
-// drops only the seeds whose recorded dependencies — file contents, name
-// resolutions, include hints — the edit can change, so DepCheckMemo (the
-// one summary-reuse gate) re-checks those and nothing else, and every
-// other summary is seeded without a walk (perfbench's watch-edit workload
-// measures the per-edit cost). A scan answered from the result pool leaves
-// the set untouched; the next rebase diffs from the older snapshot. A
-// cone-gated scan that skipped out-of-cone files outright would be
-// unsound: a changed file can shadow a declaration an out-of-cone summary
-// resolved, which the rebase catches by name.
+// state, any preset. What follows the edit is cost: the session's SeedSet
+// rides along with every scan it submits. SeedSet::rebase diffs the new
+// project against the set's own snapshot and hands back only the summaries
+// whose recorded dependencies — file contents, name resolutions, include
+// hints — the edit can change, so DepCheckMemo (the one summary-reuse
+// gate) re-checks those and nothing else, and every other summary is
+// seeded without a walk. That re-check set is the edit's cone, and the
+// delta reports it (cone_functions/cone_files). A scan answered from the
+// result pool runs no rebase, reports an empty cone and leaves the set
+// untouched; the next rebase diffs from the older snapshot. A scan that
+// skipped out-of-cone files outright would be unsound: a changed file can
+// shadow a declaration an out-of-cone summary resolved, which the rebase
+// catches by name.
 #pragma once
 
 #include <map>
@@ -64,8 +59,11 @@ struct WatchDelta {
     bool ok = false;
     std::string error;          ///< set when !ok (nothing was applied)
     int changed_files = 0;      ///< upserts + removals applied
-    int cone_files = 0;         ///< invalidated cone size (incl. the edits)
-    int cone_functions = 0;     ///< function nodes declared by cone files
+    /// The re-scan's ScanResponse::recheck_files and summaries_rechecked:
+    /// the files declaring the summaries the edit sent back through
+    /// DepCheckMemo, and those summaries. 0/0 for a result-pool hit.
+    int cone_files = 0;
+    int cone_functions = 0;
     /// Findings present after the edit but not before / before but not
     /// after, diffed by canonical serialization (report/export.h
     /// finding_json) honoring multiplicity, in result order.
@@ -92,9 +90,6 @@ public:
     /// one file; removals must name files the session holds.
     WatchDelta edit(const WatchEditBatch& batch);
 
-    /// The current project graph (null before open()).
-    const graph::ProjectGraph* graph() const noexcept { return graph_.get(); }
-
     /// The summary seeds the next edit starts from.
     const SeedSet& seeds() const noexcept { return seeds_; }
 
@@ -117,41 +112,28 @@ private:
         uint64_t hash = 0;
         std::shared_ptr<const php::ParsedFile> parsed;  ///< pinned AST
         std::string text;  ///< kept only while `parsed` is null
-        /// The parse the linked graph was built from (null for a file the
-        /// graph has not seen). Differs from `parsed` only between an edit
-        /// and the refresh that compares the two parses' structure.
-        std::shared_ptr<const php::ParsedFile> linked;
     };
 
     /// The session's full file set as a scan request (files in name
     /// order — deterministic like load_directory's path sort).
     ScanRequest assemble_request() const;
-    /// Pins ASTs of edited files, then relinks the graph — unless every
-    /// edited file kept its graph structure (structure_equals against the
-    /// parse the graph was linked from), in which case the linked graph is
-    /// reused and only the edited files' node hashes refresh. Runs after
-    /// every scan and touches only the edited files unless it relinks.
-    void refresh_state();
+    /// Pins the AST of a file the last scan parsed from text.
+    void pin(const std::string& name, FileState& state);
 
     AnalysisService& service_;
     ScanRequest base_;  ///< plugin/preset/priority (files unused)
     std::map<std::string, FileState> files_;
-    /// Upserted names since the last refresh_state().
-    std::vector<std::string> edited_;
     std::vector<Finding> baseline_;
     std::vector<std::string> baseline_keys_;  ///< finding_json of each
     /// Summary seeds carried from scan to scan (see the header).
     SeedSet seeds_;
-    std::unique_ptr<graph::ProjectGraph> graph_;
     bool active_ = false;
-    /// Files were added or removed since the last relink — the graph must
-    /// rebuild even if every surviving file kept its structure.
-    bool graph_stale_ = true;
 };
 
-/// Builds the project graph of a standalone request (no session), reusing
-/// the service's file pool for parsed files — the "graph" op with an
-/// explicit "path"/"files" payload.
+/// Builds the project graph of a request, reusing the service's file pool
+/// for parsed files — the "graph" op, over an explicit "path"/"files"
+/// payload or over a watch session's request(), whose pinned ASTs make no
+/// cache probes.
 graph::ProjectGraph build_request_graph(AnalysisService& service,
                                         const ScanRequest& request);
 

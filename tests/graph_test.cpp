@@ -1,11 +1,11 @@
 // ProjectGraph tests: parse-time fact extraction, include/use linking,
 // analytics (hubs, orphans, cycles, dead files, vendor dirs) on small
-// PHP trees, the dependency cone against a brute-force reverse closure,
-// JSON round-tripping, agreement with php::Project's resolution, and the
-// monorepo generator's structural ground truth.
+// PHP trees, JSON rendering, agreement with php::Project's resolution, and
+// the monorepo generator's structural ground truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -321,82 +321,25 @@ TEST(ProjectGraphTest, DeepChainDoesNotOverflow) {
     }
     ProjectGraph g = graph_of(chain);
     EXPECT_TRUE(g.analyze().cycles.empty());
-    EXPECT_EQ(static_cast<int>(g.dependency_cone({g.file_id(
-                  "chain/f" + std::to_string(n - 1) + ".php")}).size()),
-              n);
-}
-
-/// Brute-force reverse closure over include + use edges.
-std::vector<ProjectGraph::FileId> brute_force_cone(
-    const ProjectGraph& g, const std::vector<ProjectGraph::FileId>& changed) {
-    std::set<ProjectGraph::FileId> cone(changed.begin(), changed.end());
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (int i = 0; i < g.file_count(); ++i) {
-            const auto id = static_cast<ProjectGraph::FileId>(i);
-            if (cone.count(id)) continue;
-            bool reaches = false;
-            for (const auto to : g.includes_of(id))
-                if (cone.count(to)) reaches = true;
-            for (const auto to : g.uses_of(id))
-                if (cone.count(to)) reaches = true;
-            if (reaches) {
-                cone.insert(id);
-                grew = true;
-            }
-        }
-    }
-    return {cone.begin(), cone.end()};
-}
-
-TEST(ProjectGraphTest, ConeMatchesBruteForceClosure) {
-    // A messy little graph: chains, a diamond, a cycle, an island.
-    Sources all;
-    auto mk = [&](const char* name, std::vector<std::string> inc,
-                  std::vector<std::string> calls,
-                  std::vector<std::string> decls) {
-        std::string text = "<?php\n";
-        for (const std::string& path : inc) text += "include '" + path + "';\n";
-        for (const std::string& fn : calls) text += fn + "();\n";
-        for (const std::string& fn : decls) text += "function " + fn + "() {}\n";
-        all.emplace_back(name, std::move(text));
-    };
-    mk("a.php", {"b.php", "c.php"}, {}, {});
-    mk("b.php", {"d.php"}, {"util"}, {});
-    mk("c.php", {"d.php"}, {}, {});
-    mk("d.php", {}, {}, {"util"});
-    mk("e.php", {"f.php"}, {}, {});
-    mk("f.php", {"e.php"}, {}, {});
-    mk("island.php", {}, {}, {});
-
-    ProjectGraph g = graph_of(all);
-    for (int i = 0; i < g.file_count(); ++i) {
-        const std::vector<ProjectGraph::FileId> changed = {
-            static_cast<ProjectGraph::FileId>(i)};
-        EXPECT_EQ(g.dependency_cone(changed), brute_force_cone(g, changed))
-            << "cone of " << name_of(g, changed[0]);
-    }
-    // Multi-seed cones too.
-    const std::vector<ProjectGraph::FileId> pair = {g.file_id("d.php"),
-                                                    g.file_id("island.php")};
-    EXPECT_EQ(g.dependency_cone(pair), brute_force_cone(g, pair));
 }
 
 TEST(ProjectGraphTest, ToJsonRendersHashesParseStateAndEdges) {
     // 250+ parse errors fail main.php after its include and call parsed.
     std::string failing = "<?php include 'lib/util.php'; helper(); ";
     for (int i = 0; i < 300; ++i) failing += "^^ ";
-    ProjectGraph g = graph_of({
-        {"main.php", failing},
-        {"lib/util.php", "<?php function helper() {} function other() {}"},
-    });
-    g.set_file_hash(g.file_id("lib/util.php"), 0xdeadbeefcafef00dULL);
-    g.set_file_hash(g.file_id("main.php"), 0x1ULL);
+    const std::string util = "<?php function helper() {} function other() {}";
+    const ProjectGraph g = graph_of({{"main.php", failing}, {"lib/util.php", util}});
+    const auto hex = [](uint64_t value) {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016llx",
+                      static_cast<unsigned long long>(value));
+        return std::string(buf);
+    };
     EXPECT_EQ(g.to_json(),
-              R"({"files":[{"name":"main.php","hash":"0000000000000001",)"
-              R"("failed":true},{"name":"lib/util.php",)"
-              R"("hash":"deadbeefcafef00d","failed":false}],)"
+              R"({"files":[{"name":"main.php","hash":")" +
+                  hex(php::content_hash(failing)) +
+                  R"(","failed":true},{"name":"lib/util.php","hash":")" +
+                  hex(php::content_hash(util)) + R"(","failed":false}],)"
               R"("functions":[{"name":"helper","file":1},)"
               R"({"name":"other","file":1}],)"
               R"("includes":[[0,1]],"uses":[[0,1]]})");
@@ -416,8 +359,6 @@ TEST(ProjectGraphTest, CallbackRegistrationIsAUse) {
     EXPECT_EQ(g.used_by(h), (std::vector<ProjectGraph::FileId>{a}));
     const std::vector<std::string> orphans = names_of(g, g.analyze().orphans);
     EXPECT_FALSE(std::count(orphans.begin(), orphans.end(), "inc/h.php"));
-    const auto cone = g.dependency_cone({h});
-    EXPECT_TRUE(std::count(cone.begin(), cone.end(), a));
 }
 
 TEST(ProjectGraphTest, BuildFromParsedProject) {
@@ -536,30 +477,6 @@ TEST(MonorepoTest, GraphAnalyticsRecoverGroundTruth) {
     // Seeded vulns point at real files.
     for (const corpus::SeededVuln& vuln : repo.seeded_vulns)
         EXPECT_NE(g.file_id(vuln.file), ProjectGraph::kNoFile) << vuln.file;
-}
-
-TEST(MonorepoTest, ConeOfLeafPartIsSmall) {
-    corpus::MonorepoOptions options;
-    options.scale = 0.125;
-    const corpus::MonorepoSource repo = corpus::generate_monorepo(options);
-    php::Project project("monorepo");
-    for (const auto& [name, text] : repo.files) project.add_file(name, text);
-    DiagnosticSink sink;
-    project.parse_all(sink);
-    ProjectGraph g = build_project_graph(project);
-
-    // Editing one plugin part invalidates only that part and its main —
-    // the cost bound the watch mode exploits.
-    const auto part = g.file_id("plugin-001/inc/part-5.php");
-    ASSERT_NE(part, ProjectGraph::kNoFile);
-    const auto cone = g.dependency_cone({part});
-    EXPECT_EQ(names_of(g, cone),
-              (std::vector<std::string>{"plugin-001/inc/part-5.php",
-                                        "plugin-001/main.php"}));
-
-    // Editing a framework library invalidates a framework-wide cone.
-    const auto lib = g.file_id("framework/lib-0.php");
-    EXPECT_GT(g.dependency_cone({lib}).size(), cone.size());
 }
 
 }  // namespace

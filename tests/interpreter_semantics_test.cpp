@@ -61,6 +61,22 @@ TEST(InterpreterSemanticsTest, AddslashesEscapesQuote) {
     EXPECT_NE(r.queries[0].find("1\\' OR"), std::string::npos);
 }
 
+TEST(InterpreterSemanticsTest, VprintfFormatsItsArrayArgument) {
+    const ExecResult r = run("<?php vprintf('%s', array($_GET['x']));",
+                             [](Interpreter& i) {
+                                 i.set_superglobal_default("$_GET", "<script>");
+                             });
+    EXPECT_EQ(r.output, "<script>");
+}
+
+TEST(InterpreterSemanticsTest, VprintfWithAScalarPrintsNothing) {
+    const ExecResult r = run("<?php vprintf('%s', $_GET['x']);",
+                             [](Interpreter& i) {
+                                 i.set_superglobal_default("$_GET", "<script>");
+                             });
+    EXPECT_EQ(r.output.find("<script>"), std::string::npos);
+}
+
 TEST(InterpreterSemanticsTest, HeredocInterpolationExecutes) {
     const ExecResult r = run(
         "<?php $name = 'Ann';\n"

@@ -705,7 +705,8 @@ void expect_delta_matches_cold_rescan(int workers) {
     const service::WatchDelta delta =
         watch_edit_against_cold("delta", before, batch, workers);
     EXPECT_EQ(delta.changed_files, 2);
-    EXPECT_GE(delta.cone_files, 3);  // lib + app (includes it) + other
+    EXPECT_EQ(delta.cone_files, 1);      // lib.php, re-checked for wrap
+    EXPECT_EQ(delta.cone_functions, 1);  // wrap
     EXPECT_FALSE(delta.added.empty());    // the sanitizer regression
     EXPECT_FALSE(delta.removed.empty());  // the removed file's finding
 
@@ -730,6 +731,57 @@ TEST(WatchModeTest, DeltaMatchesColdRescanDiffSerial) {
 
 TEST(WatchModeTest, DeltaMatchesColdRescanDiffParallel) {
     expect_delta_matches_cold_rescan(4);
+}
+
+TEST(WatchModeTest, ConeReportsWhatTheSeedSetRechecked) {
+    // Two independent libraries and an entry file that uses both.
+    const std::string lib_a =
+        "<?php\nfunction a_fmt($v) { return htmlentities($v); }\n"
+        "function a_wrap($v) { return '<b>' . $v . '</b>'; }\n";
+    const FileSet tree = {
+        {"app.php",
+         "<?php include 'lib_a.php'; include 'lib_b.php';\n"
+         "echo a_fmt($_GET['a']); echo a_wrap($_GET['w']);\n"
+         "echo b_fmt($_GET['b']);\n"},
+        {"lib_a.php", lib_a},
+        {"lib_b.php", "<?php\nfunction b_fmt($v) { return $v; }\n"},
+    };
+    AnalysisService service;
+    service::WatchSession watch(service);
+    ASSERT_FALSE(watch.open(request_of("cone", tree)).rejected);
+
+    // A body save to lib_a.php: the rebase sends back lib_a.php's
+    // summaries and nothing else. Recompute the probes on a copy of the
+    // pre-edit set and count those with a declaration.
+    service::WatchEditBatch save;
+    save.upserts.push_back(
+        {"lib_a.php", "<?php\nfunction a_fmt($v) { return $v; }\n"
+                      "function a_wrap($v) { return '<b>' . $v . '</b>'; }\n"});
+    const php::Project after =
+        service.build_project(request_of("cone", tree_after(tree, save)));
+    SeedSet pre_edit = watch.seeds();
+    int declared_probes = 0;
+    for (const SeedSet::Probe& probe : pre_edit.rebase(after))
+        if (probe.owner || declaration_of(after, probe.key)) ++declared_probes;
+    EXPECT_EQ(declared_probes, 2);  // a_fmt and a_wrap
+
+    const service::WatchDelta saved = watch.edit(save);
+    ASSERT_TRUE(saved.ok) << saved.error;
+    EXPECT_FALSE(saved.response.from_result_cache);
+    EXPECT_EQ(saved.cone_files, 1);  // lib_a.php
+    EXPECT_EQ(saved.cone_functions, declared_probes);
+    EXPECT_FALSE(saved.added.empty());  // a_fmt no longer sanitizes
+
+    // Reverting to the opened content is a result-pool hit: no rebase ran,
+    // so nothing was re-checked.
+    service::WatchEditBatch revert;
+    revert.upserts.push_back({"lib_a.php", lib_a});
+    const service::WatchDelta reverted = watch.edit(revert);
+    ASSERT_TRUE(reverted.ok) << reverted.error;
+    EXPECT_TRUE(reverted.response.from_result_cache);
+    EXPECT_EQ(reverted.cone_files, 0);
+    EXPECT_EQ(reverted.cone_functions, 0);
+    EXPECT_EQ(finding_keys(reverted.removed), finding_keys(saved.added));
 }
 
 /// The summary keys a full DepCheckMemo pass over the service's summary
@@ -917,8 +969,10 @@ TEST(ServerSessionTest, PipelinedWatchSessionMatchesSerialLoopByteForByte) {
         serial_out +=
             service::render_edit_line(watch.edit(requests[1].edit), true) +
             "\n";
-        ASSERT_NE(watch.graph(), nullptr);
-        serial_out += service::render_graph_line(*watch.graph(), false) + "\n";
+        serial_out += service::render_graph_line(
+                          service::build_request_graph(serial, watch.request()),
+                          false) +
+                      "\n";
         serial_out +=
             service::render_edit_line(watch.edit(requests[3].edit), true) +
             "\n";
